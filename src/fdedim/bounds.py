@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charroots import SpectrumTable
-from .errors import ConfigError, DomainError, InfeasibleError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Long post-transient trajectories are pooled into point clouds in the
 flattened history embedding (dimension num_nodes * value_dim).  Occupied
-boxes of side 2*eps are counted by hash bucketing (a dense grid would be
-hopeless at this embedding dimension), and the dimension estimate is the
-least-squares slope of ln N_eps against -ln eps.
+boxes of side 2*eps are counted as the distinct rows of the integer cell
+array (a dense grid would be hopeless at this embedding dimension), and the
+dimension estimate is the least-squares slope of ln N_eps against -ln eps.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .errors import ConfigError, DegenerateSampleError
 from .sim import Trajectory
 
 DUPLICATE_RESOLUTION = 1e-9
-DIAMETER_SUBSAMPLE = 1000
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,22 @@ class AttractorSample:
         return len(self.points)
 
 
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """Increasing indices of the first occurrence of each distinct row of an
+    (n, k) integer array, k >= 1.
+
+    Each row is viewed as one opaque byte string, so a single 1-D unique
+    replaces the much slower row-wise ``np.unique(axis=0)``.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, idx = np.unique(rows.ravel(), return_index=True)
+    return np.sort(idx)
+
+
 def _dedup(points: np.ndarray, resolution: float) -> np.ndarray:
     keys = np.round(points / resolution).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(idx)]
+    return points[_distinct_rows(keys)]
 
 
 def sample_attractor(simulate, initial_conditions, transient: float,
@@ -86,12 +97,26 @@ def sample_attractor(simulate, initial_conditions, transient: float,
 
 def box_count(points: np.ndarray, eps: float) -> int:
     """Occupied cells of side 2*eps (each cell fits in a sup-ball of
-    radius eps), anchored at the coordinate-wise minimum."""
+    radius eps), anchored at the coordinate-wise minimum.
+
+    Columns constant across the sample put every point in cell 0 and are
+    dropped before counting, which leaves the count unchanged.
+    """
     if eps <= 0:
         raise ConfigError("eps must be positive")
+    points = np.asarray(points, dtype=float)
     origin = points.min(axis=0)
-    cells = np.floor((points - origin) / (2.0 * eps)).astype(np.int64)
-    return len(np.unique(cells, axis=0))
+    span = points.max(axis=0) - origin
+    varying = span > 0
+    if not varying.any():
+        return 1
+    if span.max() / (2.0 * eps) >= 2.0 ** 63:
+        raise ConfigError(
+            f"eps {eps!r} is too small for the sample span {span.max()!r}: "
+            "cell indices overflow int64")
+    cells = np.floor((points[:, varying] - origin[varying])
+                     / (2.0 * eps)).astype(np.int64)
+    return len(_distinct_rows(cells))
 
 
 def box_counting_dim(sample: AttractorSample, eps_list,
@@ -171,17 +196,14 @@ def dyadic_eps(eps_max: float, levels: int) -> list:
 
 
 def diameter(sample: AttractorSample) -> float:
-    """Max pairwise sup-distance over a deterministic subsample of at most
-    1000 points (exact when the sample is at most that large)."""
+    """Exact max pairwise sup-distance over the whole sample.
+
+    The sup-distance of two points is their largest coordinate gap, so the
+    diameter is the largest column range; rounded subtraction is monotone,
+    so this equals the max over all pairs of the rounded distances.
+    """
     pts = sample.points
-    if len(pts) > DIAMETER_SUBSAMPLE:
-        step = int(math.ceil(len(pts) / DIAMETER_SUBSAMPLE))
-        pts = pts[::step]
-    best = 0.0
-    for i in range(len(pts) - 1):
-        d = np.max(np.abs(pts[i + 1:] - pts[i]), axis=1).max()
-        best = max(best, float(d))
-    return best
+    return float(np.max(pts.max(axis=0) - pts.min(axis=0)))
 
 
 def counts_to_csv(result: dict, path_or_buf) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+log = logging.getLogger(__name__)
 
 
 class _CliError(Exception):
@@ -296,14 +299,15 @@ def cmd_boxdim(args):
         ics, transient=float(args.transient),
         horizon=float(args.T) - float(args.transient), stride=stride,
         source={"a": params.a, "b": params.b, "r": params.r})
-    eps_max = float(args.eps_max or max(bx.diameter(sample), 1e-6))
+    diam = bx.diameter(sample)
+    eps_max = float(args.eps_max or max(diam, 1e-6))
     eps = bx.dyadic_eps(eps_max, int(args.eps_levels or 6))
     try:
         result = bx.box_counting_dim(sample, eps)
     except bx.DegenerateSampleError as exc:
         result = {"estimate": None, "degenerate": str(exc),
                   "num_points": len(sample)}
-    result["diameter"] = bx.diameter(sample)
+    result["diameter"] = diam
     out = _outdir(args)
     _write_json(result, os.path.join(out, "boxdim.json"))
     if result.get("counts"):
@@ -385,6 +389,12 @@ def cmd_pipeline(args):
                                   bx.dyadic_eps(max(diam, 1e-6), 6))
     except bx.DegenerateSampleError as exc:
         box = {"estimate": None, "degenerate": str(exc)}
+    if (opt_h.feasible and box["estimate"] is not None
+            and box["estimate"] > opt_h.bound):
+        log.warning("empirical box dimension %r exceeds the Hausdorff bound "
+                    "%r; the sample may still hold the transient tail "
+                    "(transient %r)", box["estimate"], opt_h.bound,
+                    transient)
 
     report = {
         "params": {"a": params.a, "b": params.b, "r": params.r,

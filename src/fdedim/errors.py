@@ -47,11 +47,3 @@ class DegenerateSampleError(FdedimError):
 
 class DegeneratePairError(FdedimError):
     """Trajectory pair with zero initial separation."""
-
-
-class InfeasibleError(FdedimError):
-    """Bound constraints cannot be satisfied; carries the failure reasons."""
-
-    def __init__(self, msg, reasons=None):
-        super().__init__(msg)
-        self.reasons = reasons or {}

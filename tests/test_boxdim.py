@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fdedim.boxdim import (AttractorSample, box_count, box_counting_dim,
-                           counts_to_csv, diameter, dyadic_eps,
-                           result_to_json, sample_attractor)
+from fdedim.boxdim import (AttractorSample, _dedup, box_count,
+                           box_counting_dim, counts_to_csv, diameter,
+                           dyadic_eps, result_to_json, sample_attractor)
 from fdedim.core import GridSpec, HistorySegment, random_smooth_segment
 from fdedim.errors import ConfigError, DegenerateSampleError
 from fdedim.sim import RDEParams, rde_grid, simulate_rde
@@ -39,6 +42,65 @@ def embed_square(n, rng, D=16):
     return uv @ basis
 
 
+# Reference forms the array versions replaced; the property tests below
+# require exact agreement with them.
+def box_count_reference(points, eps):
+    origin = points.min(axis=0)
+    cells = np.floor((points - origin) / (2.0 * eps)).astype(np.int64)
+    return len(np.unique(cells, axis=0))
+
+
+def diameter_reference(pts):
+    best = 0.0
+    for i in range(len(pts) - 1):
+        d = np.max(np.abs(pts[i + 1:] - pts[i]), axis=1).max()
+        best = max(best, float(d))
+    return best
+
+
+def dedup_reference(points, resolution):
+    keys = np.round(points / resolution).astype(np.int64)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    return points[np.sort(idx)]
+
+
+@st.composite
+def point_clouds(draw):
+    """(n, D) clouds with repeated rows, constant columns and negative
+    coordinates: rows are drawn with replacement from a small pool and a
+    random subset of columns is pinned to one value."""
+    D = draw(st.integers(1, 6))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), D),
+                           elements=st.floats(-10.0, 10.0)))
+    rows = draw(hnp.arrays(np.int64, draw(st.integers(1, 40)),
+                           elements=st.integers(0, len(pool) - 1)))
+    pts = pool[rows]
+    constant = draw(hnp.arrays(np.bool_, D))
+    pts[:, constant] = draw(st.floats(-10.0, 10.0))
+    return pts
+
+
+class TestArrayFormsMatchReference:
+    @given(point_clouds(), st.floats(1e-3, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_box_count(self, pts, eps):
+        assert box_count(pts, eps) == box_count_reference(pts, eps)
+
+    @given(point_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_diameter_bitwise(self, pts):
+        got = diameter(make_sample(pts))
+        assert got.hex() == diameter_reference(pts).hex()
+
+    @given(point_clouds(), st.floats(1e-3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_dedup_first_occurrence_order(self, pts, resolution):
+        got = _dedup(pts, resolution)
+        ref = dedup_reference(pts, resolution)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
 class TestBoxCount:
     def test_single_point(self):
         s = make_sample([[0.3, -1.2, 4.0]])
@@ -55,6 +117,13 @@ class TestBoxCount:
     def test_eps_positive(self):
         with pytest.raises(ConfigError):
             box_count(np.zeros((3, 2)), 0.0)
+
+    def test_cell_index_overflow_rejected(self):
+        pts = np.array([[0.0], [1.0], [0.5]])
+        # span / (2 eps) = 2**62 still fits in int64
+        assert box_count(pts, 2.0 ** -63) == 3
+        with pytest.raises(ConfigError, match="1e-20"):
+            box_count(pts, 1e-20)
 
 
 class TestBoxCountingDim:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -184,15 +185,25 @@ class TestChecksAndPipeline:
         rep = json.loads((out / "cover_report.json").read_text())
         assert rep["passed"] and rep["within_bound"]
 
-    def test_pipeline_consolidated_report(self, tmp_path):
-        code, out = run(["pipeline"] + self.RDE
-                        + ["--T", "4", "--m", "1", "--k-trials", "8",
-                           "--nonlinearity", "tanh", "--kappa", "0.05",
-                           "--transient", "2"], tmp_path)
+    def test_pipeline_consolidated_report(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="fdedim.cli"):
+            code, out = run(["pipeline"] + self.RDE
+                            + ["--T", "4", "--m", "1", "--k-trials", "8",
+                               "--nonlinearity", "tanh", "--kappa", "0.05",
+                               "--transient", "2"], tmp_path)
         assert code == 0
         rep = json.loads((out / "pipeline_report.json").read_text())
         assert rep["hausdorff"]["feasible"]
         assert rep["hausdorff"]["bound"] > 0
+        # an estimate above the certified bound is flagged, not hidden
+        estimate = rep["attractor"]["box_dimension"]["estimate"]
+        above = estimate is not None and estimate > rep["hausdorff"]["bound"]
+        flagged = [r.getMessage() for r in caplog.records
+                   if "Hausdorff bound" in r.getMessage()]
+        assert len(flagged) == int(above)
+        if above:
+            assert repr(estimate) in flagged[0]
+            assert "transient 2.0" in flagged[0]
         assert rep["dichotomy"]["provenance"].startswith("fitted")
         assert rep["spectrum"]["provenance"].startswith("derived")
         assert rep["params"]["provenance"] == "user-supplied"
