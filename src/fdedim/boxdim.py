@@ -95,18 +95,17 @@ def sample_attractor(simulate, initial_conditions, transient: float,
                            source=dict(source or {}))
 
 
-def box_count(points: np.ndarray, eps: float) -> int:
-    """Occupied cells of side 2*eps (each cell fits in a sup-ball of
-    radius eps), anchored at the coordinate-wise minimum.
+def _frame(points: np.ndarray) -> tuple:
+    """Coordinate-wise minimum and span of a sample: the anchor and extent
+    of its box grids at every eps."""
+    origin = points.min(axis=0)
+    return origin, points.max(axis=0) - origin
 
-    Columns constant across the sample put every point in cell 0 and are
-    dropped before counting, which leaves the count unchanged.
-    """
+
+def _count_boxes(points: np.ndarray, origin: np.ndarray, span: np.ndarray,
+                 eps: float) -> int:
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    points = np.asarray(points, dtype=float)
-    origin = points.min(axis=0)
-    span = points.max(axis=0) - origin
     varying = span > 0
     if not varying.any():
         return 1
@@ -117,6 +116,17 @@ def box_count(points: np.ndarray, eps: float) -> int:
     cells = np.floor((points[:, varying] - origin[varying])
                      / (2.0 * eps)).astype(np.int64)
     return len(_distinct_rows(cells))
+
+
+def box_count(points: np.ndarray, eps: float) -> int:
+    """Occupied cells of side 2*eps (each cell fits in a sup-ball of
+    radius eps), anchored at the coordinate-wise minimum.
+
+    Columns constant across the sample put every point in cell 0 and are
+    dropped before counting, which leaves the count unchanged.
+    """
+    points = np.asarray(points, dtype=float)
+    return _count_boxes(points, *_frame(points), eps)
 
 
 def box_counting_dim(sample: AttractorSample, eps_list,
@@ -134,7 +144,9 @@ def box_counting_dim(sample: AttractorSample, eps_list,
         raise ConfigError("eps_list must be strictly decreasing")
     if math.log10(eps[0] / eps[-1]) < 1.5:
         raise ConfigError("eps_list must span at least 1.5 decades")
-    counts = [box_count(sample.points, e) for e in eps]
+    # box_count's anchor and span, computed once for all levels
+    frame = _frame(sample.points)
+    counts = [_count_boxes(sample.points, *frame, e) for e in eps]
     if len(set(counts)) < 2:
         if counts[0] == 1:
             # a single occupied cell at every scale: dimension 0 exactly

@@ -378,9 +378,9 @@ def cmd_pipeline(args):
         squeeze = {k: v for k, v in squeeze.items() if k != "rows"}
 
     transient = float(args.transient or float(args.T) / 2.0)
+    # the sample pools the pair already integrated above
     sample = bx.sample_attractor(
-        lambda p: simulate_rde(params, p, float(args.T), float(args.dt)),
-        [phi1, phi2], transient=transient,
+        lambda tr: tr, [tr1, tr2], transient=transient,
         horizon=float(args.T) - transient, stride=grid.spacing,
         source={"a": params.a, "b": params.b, "r": params.r})
     diam = bx.diameter(sample)

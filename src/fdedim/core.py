@@ -120,7 +120,7 @@ def _node_slopes(values: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def interpolate(h: HistorySegment, theta: float) -> np.ndarray:
+def interpolate(h: HistorySegment, theta) -> np.ndarray:
     """Piecewise-cubic interpolant of the segment, exact at the nodes.
 
     Interior intervals use Hermite cubics with central-difference slopes;
@@ -128,46 +128,50 @@ def interpolate(h: HistorySegment, theta: float) -> np.ndarray:
     one-sided linear rule cannot meet the smooth-history accuracy the
     integrator needs there).  Grids with fewer than 4 nodes fall back to
     linear interpolation.
+
+    theta is a scalar (the result has shape (value_dim,)) or an array of
+    any shape (the result has shape theta.shape + (value_dim,)).
     """
     g = h.grid
     r = g.delay_r
+    n = g.num_nodes
+    th = np.asarray(theta, dtype=float)
     tol = 1e-12 * max(1.0, r)
-    if theta < -r - tol or theta > tol:
-        raise DomainError(f"theta={theta} outside [-{r}, 0]")
-    theta = min(0.0, max(-r, theta))
-    dh = g.spacing
-    x = (theta + r) / dh
-    i = int(math.floor(x))
-    i = min(max(i, 0), g.num_nodes - 2)
+    outside = (th < -r - tol) | (th > tol)
+    if outside.any():
+        raise DomainError(f"theta={th[outside].flat[0]} outside [-{r}, 0]")
+    x = (np.minimum(0.0, np.maximum(-r, th)) + r).ravel() / g.spacing
+    i = np.clip(np.floor(x).astype(np.intp), 0, n - 2)
     s = x - i
     v = h.values
-    if abs(s) < 1e-13:
-        return v[i].copy()
-    if abs(s - 1.0) < 1e-13:
-        return v[i + 1].copy()
-    n = g.num_nodes
+    out = np.empty((len(x), g.value_dim))
+    at_lo = np.abs(s) < 1e-13
+    at_hi = ~at_lo & (np.abs(s - 1.0) < 1e-13)
+    out[at_lo] = v[i[at_lo]]
+    out[at_hi] = v[i[at_hi] + 1]
+    off = ~(at_lo | at_hi)
     if n < 4:
-        return (1.0 - s) * v[i] + s * v[i + 1]
-    if i == 0 or i == n - 2:
-        # end interval: cubic Lagrange through the 4 nearest nodes
-        j0 = 0 if i == 0 else n - 4
-        t = x - j0
-        pts = v[j0:j0 + 4]
-        w = np.array([
-            -(t - 1) * (t - 2) * (t - 3) / 6.0,
-            t * (t - 2) * (t - 3) / 2.0,
-            -t * (t - 1) * (t - 3) / 2.0,
-            t * (t - 1) * (t - 2) / 6.0,
-        ])
-        return w @ pts
+        sk = s[off, None]
+        out[off] = (1.0 - sk) * v[i[off]] + sk * v[i[off] + 1]
+        return out.reshape(th.shape + (g.value_dim,))
+    # end intervals: cubic Lagrange through the 4 nearest nodes
+    end = off & ((i == 0) | (i == n - 2))
+    j0 = np.where(i[end] == 0, 0, n - 4)
+    t = (x[end] - j0)[:, None]
+    w = (-(t - 1) * (t - 2) * (t - 3) / 6.0, t * (t - 2) * (t - 3) / 2.0,
+         -t * (t - 1) * (t - 3) / 2.0, t * (t - 1) * (t - 2) / 6.0)
+    out[end] = sum(wk * v[j0 + k] for k, wk in enumerate(w))
     # interior Hermite with central-difference slopes at nodes i, i+1
+    mid = off & ~end
+    i, s = i[mid], s[mid, None]
     m_i = (v[i + 1] - v[i - 1]) / 2.0
     m_ip = (v[i + 2] - v[i]) / 2.0
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
+    out[mid] = h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
+    return out.reshape(th.shape + (g.value_dim,))
 
 
 def segment_to_csv(h: HistorySegment, path_or_buf) -> None:

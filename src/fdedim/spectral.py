@@ -241,8 +241,8 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
             continue
         x = project(decomp, raw, "Q")
         traj = linear_semigroup(params, x, horizon, dt, grid=decomp.grid)
-        for t, nn in zip(traj.sample_times(), traj.norms()):
-            worst = max(worst, nn * math.exp(-rho_m * t) / nx)
+        ratios = traj.norms() * np.exp(-rho_m * traj.sample_times()) / nx
+        worst = max(worst, float(ratios.max()))
     K_fit = safety * worst
     return K_fit, K_fit - worst
 

@@ -86,6 +86,21 @@ class TestArrayFormsMatchReference:
     def test_box_count(self, pts, eps):
         assert box_count(pts, eps) == box_count_reference(pts, eps)
 
+    @given(point_clouds(), st.floats(1.0, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_box_counting_dim_counts_per_level(self, pts, eps_max):
+        # the shared anchor and span give the per-level box_count counts
+        eps = dyadic_eps(eps_max, 6)
+        try:
+            counts = box_counting_dim(make_sample(pts), eps)["counts"]
+        except DegenerateSampleError as exc:
+            counts = None
+            assert "fewer than 2 distinct" in str(exc)
+        ref = [box_count_reference(pts, e) for e in eps]
+        assert counts in (ref, None)
+        if counts is None:
+            assert len(set(ref)) < 2 and ref[0] > 1
+
     @given(point_clouds())
     @settings(max_examples=60, deadline=None)
     def test_diameter_bitwise(self, pts):

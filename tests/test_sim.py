@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdedim.bounds import (absorbing_entry_time, absorbing_radius,
-                           rde_absorbing_envelope)
+from fdedim.bounds import (SqueezeConstants, absorbing_entry_time,
+                           absorbing_radius, rde_absorbing_envelope)
 from fdedim.charroots import mode_roots, ordered_spectrum
-from fdedim.core import (GridSpec, HistorySegment, random_smooth_segment,
-                         sup_norm)
+from fdedim.core import (GridSpec, HistorySegment, interpolate,
+                         random_smooth_segment, sup_norm)
 from fdedim.errors import (ConfigError, DegeneratePairError,
                            IntegrationError, ShapeError)
-from fdedim.sim import (DichotomyInputs, NonlinearitySpec, RDEParams,
-                        RFDEParams, check_absorbing, check_squeeze,
+from fdedim.sim import (BLOWUP_NORM, DichotomyInputs, NonlinearitySpec,
+                        RDEParams, RFDEParams, _check_steps,
+                        _simpson_weights, check_absorbing, check_squeeze,
                         linear_semigroup, rde_grid, simulate_rde,
                         simulate_rfde)
 from fdedim.spectral import build_decomposition, project
@@ -417,3 +420,350 @@ def test_trajectory_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("time,sup_norm,y1,y2")
     assert len(lines) == len(traj.sample_times()) + 1
+
+
+# ---------------------------------------------------------------------------
+# Block integrator and array checks against the per-step forms they replace
+# ---------------------------------------------------------------------------
+
+def _ref_interpolate(h, theta):
+    """The scalar history interpolant the per-step integrator called."""
+    g = h.grid
+    r = g.delay_r
+    theta = min(0.0, max(-r, theta))
+    x = (theta + r) / g.spacing
+    i = min(max(int(math.floor(x)), 0), g.num_nodes - 2)
+    s = x - i
+    v = h.values
+    if abs(s) < 1e-13:
+        return v[i].copy()
+    if abs(s - 1.0) < 1e-13:
+        return v[i + 1].copy()
+    n = g.num_nodes
+    if n < 4:
+        return (1.0 - s) * v[i] + s * v[i + 1]
+    if i == 0 or i == n - 2:
+        j0 = 0 if i == 0 else n - 4
+        t = x - j0
+        w = np.array([-(t - 1) * (t - 2) * (t - 3) / 6.0,
+                      t * (t - 2) * (t - 3) / 2.0,
+                      -t * (t - 1) * (t - 3) / 2.0,
+                      t * (t - 1) * (t - 2) / 6.0])
+        return w @ v[j0:j0 + 4]
+    m_i = (v[i + 1] - v[i - 1]) / 2.0
+    m_ip = (v[i + 2] - v[i]) / 2.0
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
+
+
+class TestArrayInterpolate:
+    @given(num_nodes=st.integers(2, 12), dim=st.integers(1, 3),
+           r=st.floats(0.1, 3.0), seed=st.integers(0, 10_000),
+           shape=st.sampled_from([(7,), (3, 4)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_form(self, num_nodes, dim, r, seed, shape):
+        # random points, nodes, points within 1e-14 of a node, both ends
+        g = GridSpec(delay_r=r, num_nodes=num_nodes, value_dim=dim)
+        rng = np.random.default_rng(seed)
+        h = HistorySegment(g, rng.standard_normal((num_nodes, dim)))
+        nodes = rng.choice(g.nodes(), size=shape)
+        theta = np.where(rng.random(shape) < 0.5,
+                         -r * rng.random(shape),
+                         np.clip(nodes + rng.choice([-1e-14, 0.0, 1e-14],
+                                                    size=shape), -r, 0.0))
+        theta.flat[0], theta.flat[-1] = -r, 0.0
+        new = interpolate(h, theta)
+        assert new.shape == shape + (dim,)
+        ref = np.array([_ref_interpolate(h, th) for th in theta.ravel()])
+        _assert_close(new.reshape(ref.shape), ref, rel=1e-14)
+        for th in theta.ravel()[:3]:
+            assert interpolate(h, float(th)).shape == (dim,)
+
+
+def _ref_integrate(rhs, phi, grid, T, dt):
+    """The per-step RK4 loop with scalar Hermite lookups."""
+    r, d = grid.delay_r, grid.value_dim
+    steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
+    n_steps = round(T / dt)
+    if callable(phi):
+        phi_fn = lambda th: np.broadcast_to(
+            np.asarray(phi(th), dtype=float), (d,))
+        seg = HistorySegment.from_function(grid, phi)
+    else:
+        seg = phi
+        phi_fn = lambda th: _ref_interpolate(phi, th)
+    ys = np.empty((n_steps + 1, d))
+    dys = np.empty((n_steps + 1, d))
+    ys[0] = seg.values[-1]
+
+    def lookup(tau):
+        if tau <= 1e-12:
+            return np.asarray(phi_fn(min(0.0, max(-r, tau))))
+        x = tau / dt
+        i = int(math.floor(x))
+        s = x - i
+        if s < 1e-10:
+            return ys[i]
+        if s > 1.0 - 1e-10:
+            return ys[i + 1]
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return (h00 * ys[i] + h10 * dt * dys[i]
+                + h01 * ys[i + 1] + h11 * dt * dys[i + 1])
+
+    dys[0] = rhs(0.0, ys[0], lookup)
+    for k in range(n_steps):
+        t = k * dt
+        y = ys[k]
+        k1 = dys[k]
+        k2 = rhs(t + dt / 2, y + dt / 2 * k1, lookup)
+        k3 = rhs(t + dt / 2, y + dt / 2 * k2, lookup)
+        k4 = rhs(t + dt, y + dt * k3, lookup)
+        ys[k + 1] = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(ys[k + 1])) or np.max(
+                np.abs(ys[k + 1])) > BLOWUP_NORM:
+            raise IntegrationError(f"blow-up at t={t + dt:.6g}")
+        dys[k + 1] = rhs(t + dt, ys[k + 1], lookup)
+    return np.concatenate([seg.values[:-1], ys[::steps_per_node]])
+
+
+def _ref_rde_rhs(params):
+    decay = -(np.arange(1, params.num_modes + 1) ** 2 + params.a)
+    S = params.sine_matrix()
+    fac = 2.0 / (S.shape[0] + 1)
+    nl = params.nonlinearity
+
+    def rhs(t, y, lookup):
+        yd = lookup(t - params.r)
+        out = decay * y - params.b * yd
+        if not nl.is_zero:
+            out = out + fac * (S.T @ nl(S @ yd))
+        return out
+
+    return rhs
+
+
+def _ref_rfde_rhs(params, grid, sigma):
+    nl, kern = params.nonlinearity, params.kernel
+    pairs = list(zip(params.matrices, params.delays))
+    thetas = grid.nodes()
+    wts = _simpson_weights(len(thetas)) * grid.spacing
+
+    def rhs(t, y, lookup):
+        out = np.zeros_like(y)
+        for A, w in pairs:
+            if w == 0.0:
+                out = out + A @ y
+        for A, w in pairs:
+            if w > 0.0:
+                out = out + A @ lookup(t - w)
+        if kern is not None:
+            acc = np.zeros_like(y)
+            for th, wq in zip(thetas, wts):
+                u = y if th == 0.0 else lookup(t + th)
+                acc = acc + wq * (np.asarray(kern(t, th), dtype=float) @ u)
+            out = out + acc
+        if not nl.is_zero:
+            out = out + nl(lookup(t - params.r))
+        return out
+
+    if not sigma:
+        return rhs
+    return lambda t, y, lk: rhs(sigma + t, y,
+                                lambda tau_abs: lk(tau_abs - sigma))
+
+
+def _assert_close(new, ref, rel=1e-12):
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(new - ref)) <= rel * scale
+
+
+def _history_of(grid, seed, as_callable):
+    """A smooth random history, as a segment or as a callable of theta."""
+    seg = random_smooth_segment(grid, np.random.default_rng(seed))
+    if not as_callable:
+        return seg
+    amp = seg.values[-1]
+    return lambda th: amp * math.cos(2.0 * th) + 0.3 * math.sin(5.0 * th)
+
+
+tanh_gain = st.floats(0.05, 0.5)
+
+
+class TestBlockIntegratorMatchesPerStep:
+    @given(b=st.sampled_from([0.0, 0.2, 0.7]), a=st.floats(0.5, 3.0),
+           num_modes=st.integers(1, 4), kappa=tanh_gain,
+           num_nodes=st.sampled_from([5, 9, 17]),
+           per_node=st.integers(1, 3), blocks=st.integers(1, 3),
+           seed=st.integers(0, 10_000), as_callable=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_rde(self, b, a, num_modes, kappa, num_nodes, per_node, blocks,
+                 seed, as_callable):
+        params = RDEParams(a=a, b=b, r=0.5, num_modes=num_modes,
+                           nonlinearity=NonlinearitySpec(kind="tanh",
+                                                         kappa=kappa))
+        grid = rde_grid(params, num_nodes)
+        dt = grid.spacing / per_node
+        T = (blocks * params.r + grid.spacing) if seed % 2 else 1.0
+        T = round(T / dt) * dt
+        phi = _history_of(grid, seed, as_callable)
+        new = simulate_rde(params, phi, T, dt, grid=grid)
+        ref = _ref_integrate(_ref_rde_rhs(params), phi, grid, T, dt)
+        _assert_close(new.states, ref)
+
+    @given(dim=st.integers(1, 3), lag_steps=st.sampled_from([1.0, 2.37, 3.0]),
+           with_zero=st.booleans(),
+           nl_kind=st.sampled_from(["zero", "tanh", "affine_tanh"]),
+           seed=st.integers(0, 10_000), as_callable=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_rfde_several_delays(self, dim, lag_steps, with_zero, nl_kind,
+                                 seed, as_callable):
+        # delays at lag_steps * dt (2.37: not a multiple of dt), 0.3 and r
+        rng = np.random.default_rng(seed)
+        r = 0.5
+        grid = GridSpec(delay_r=r, num_nodes=9, value_dim=dim,
+                        value_norm="euclidean")
+        dt = grid.spacing / 2.0
+        delays = ((0.0,) if with_zero else ()) + (lag_steps * dt, 0.3, r)
+        mats = tuple(rng.uniform(-1.0, 1.0, (dim, dim)) for _ in delays)
+        nl = (NonlinearitySpec() if nl_kind == "zero"
+              else NonlinearitySpec(kind=nl_kind, kappa=0.3,
+                                    offset=0.2 if nl_kind == "affine_tanh"
+                                    else 0.0))
+        params = RFDEParams(matrices=mats, delays=delays, r=r,
+                            nonlinearity=nl)
+        phi = _history_of(grid, seed, as_callable)
+        new = simulate_rfde(params, phi, 0.0, 2.0, dt, grid=grid)
+        ref = _ref_integrate(_ref_rfde_rhs(params, grid, 0.0), phi, grid,
+                             2.0, dt)
+        _assert_close(new.states, ref)
+
+    @given(sigma=st.sampled_from([0.0, 0.7, 2.25]), c=st.floats(0.1, 1.0),
+           nl_kind=st.sampled_from(["zero", "tanh"]),
+           seed=st.integers(0, 10_000), as_callable=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_rfde_time_dependent_kernel(self, sigma, c, nl_kind, seed,
+                                        as_callable):
+        grid = GridSpec(delay_r=0.5, num_nodes=9, value_dim=2,
+                        value_norm="euclidean")
+        M = np.array([[-1.0, 0.4], [0.2, -0.5]])
+
+        def kern(t, th):
+            return c * math.exp(th) * (1.0 + 0.5 * math.sin(t)) * M
+
+        nl = NonlinearitySpec(kind=nl_kind,
+                              kappa=0.2 if nl_kind == "tanh" else 0.0)
+        params = RFDEParams(matrices=(-0.5 * np.eye(2), 0.3 * M),
+                            delays=(0.0, 0.25), r=0.5, kernel=kern,
+                            nonlinearity=nl)
+        phi = _history_of(grid, seed, as_callable)
+        dt = grid.spacing / 2.0
+        new = simulate_rfde(params, phi, sigma, 1.5, dt, grid=grid)
+        ref = _ref_integrate(_ref_rfde_rhs(params, grid, sigma), phi, grid,
+                             1.5, dt)
+        _assert_close(new.states, ref)
+
+    @given(growth=st.floats(1.0, 60.0), lag=st.sampled_from([0.0, 0.25]),
+           start=st.floats(1.0, 1e3))
+    @settings(max_examples=20, deadline=None)
+    def test_blow_up_reported_at_same_time(self, growth, lag, start):
+        # from growth ~25 on, an undelayed run overflows past the blow-up
+        delays = (0.0,) if lag == 0.0 else (0.0, lag)
+        mats = (np.array([[growth]]),) + (
+            (np.array([[0.5]]),) if lag else ())
+        params = RFDEParams(matrices=mats, delays=delays, r=0.5)
+        grid = scalar_grid(r=0.5, n=9)
+        dt = grid.spacing
+        with pytest.raises(IntegrationError) as ref:
+            _ref_integrate(_ref_rfde_rhs(params, grid, 0.0),
+                           lambda th: start, grid, 20.0, dt)
+        with pytest.raises(IntegrationError) as new:
+            simulate_rfde(params, lambda th: start, 0.0, 20.0, dt,
+                          grid=grid)
+        assert str(new.value) == str(ref.value)
+
+
+def _pair(params, grid, seed, T=2.0):
+    rng = np.random.default_rng(seed)
+    dt = grid.spacing / 2.0
+    return (simulate_rde(params, random_smooth_segment(grid, rng), T, dt),
+            simulate_rde(params, random_smooth_segment(grid, rng), T, dt))
+
+
+class TestArrayChecksMatchPerSample:
+    @given(seed=st.integers(0, 10_000), num_nodes=st.sampled_from([5, 17]))
+    @settings(max_examples=20, deadline=None)
+    def test_norms(self, seed, num_nodes):
+        params = RDEParams(a=1.0, b=0.3, r=1.0, num_modes=2)
+        traj, _ = _pair(params, rde_grid(params, num_nodes), seed)
+        ref = [sup_norm(traj.segment(t)) for t in traj.sample_times()]
+        assert traj.norms().tolist() == ref
+
+    @staticmethod
+    def _reference(traj1, traj2, project_pair, sc):
+        """(rows, violations) of the per-sample squeeze check."""
+        times = traj1.sample_times()
+        w0n = sup_norm(traj1.segment(times[0]) - traj2.segment(times[0]))
+        rows, violations = [], []
+        for t in times:
+            w = traj1.segment(t) - traj2.segment(t)
+            pn = sup_norm(project_pair(w, "P"))
+            qn = sup_norm(project_pair(w, "Q"))
+            rhs_p = sc.M1 * math.exp(sc.lambda0 * t) * w0n
+            rhs_q = (sc.M2 * math.exp(sc.lambda1 * t)
+                     + sc.M3 * math.exp(sc.lambda0 * t)) * w0n
+            rows.append((float(t), pn, qn, rhs_p, rhs_q))
+            if rhs_p - pn < 0:
+                violations.append((float(t), "P"))
+            if rhs_q - qn < 0:
+                violations.append((float(t), "Q"))
+        return rows, violations
+
+    @given(seed=st.integers(0, 10_000), M1=st.floats(0.5, 20.0),
+           M2=st.floats(0.5, 20.0), M3=st.floats(0.0, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_squeeze_decomposition(self, rde_decomp, seed, M1, M2, M3):
+        # M1 and M2 from 0.5 up: some samples violate a leg, some do not
+        params = rde_decomp.params
+        t1, t2 = _pair(params, rde_decomp.grid, seed)
+        sc = SqueezeConstants(M1=M1, M2=M2, M3=M3,
+                              lambda0=rde_decomp.rho1,
+                              lambda1=rde_decomp.rho_m1,
+                              Lambda=rde_decomp.Lambda, t0=1.0)
+        rep = check_squeeze(t1, t2, rde_decomp, sc)
+        rows, violations = self._reference(
+            t1, t2, lambda w, which: project(rde_decomp, w, which), sc)
+        _assert_close(np.array(rep["rows"]), np.array(rows))
+        assert [(v["time"], v["part"]) for v in rep["violations"]] == \
+            violations
+        assert rep["num_samples"] == len(rows)
+
+    @given(seed=st.integers(0, 10_000), M1=st.floats(0.2, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_squeeze_callable(self, seed, M1):
+        grid = GridSpec(delay_r=0.5, num_nodes=9, value_dim=2,
+                        value_norm="euclidean")
+        params = RFDEParams(matrices=(np.diag([-0.5, 0.3]),), delays=(0.0,),
+                            r=0.5)
+
+        def coord(h, which):
+            vals = h.values.copy()
+            vals[:, 1 if which == "P" else 0] = 0.0
+            return HistorySegment(h.grid, vals)
+
+        rng = np.random.default_rng(seed)
+        dt = grid.spacing / 2.0
+        t1, t2 = (simulate_rfde(params, random_smooth_segment(grid, rng),
+                                0.0, 2.0, dt, grid=grid) for _ in range(2))
+        sc = SqueezeConstants(M1=M1, M2=1.0, M3=0.5, lambda0=0.0,
+                              lambda1=-0.5, Lambda=1, t0=1.0)
+        rep = check_squeeze(t1, t2, coord, sc)
+        rows, violations = self._reference(t1, t2, coord, sc)
+        assert rep["rows"] == rows
+        assert [(v["time"], v["part"]) for v in rep["violations"]] == \
+            violations
