@@ -10,14 +10,13 @@ functional equations), and absorbing-set radii/envelopes.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charroots import SpectrumTable
+from .core import open_path_or_buf
 from .errors import ConfigError, DomainError
 
 
@@ -186,8 +185,8 @@ def rde_m1(spectrum: SpectrumTable, m: int, L_f: float) -> float:
     on; then the integral is at most L_f e^{l0 t} / (l0 - Re lam).
 
     Needs the table's root data (groups) and its b, r (params).  Memoised on
-    the table per (m, L_f): the optimizer's grid scan calls rde_constants
-    thousands of times with the same three.
+    the table per (m, L_f): the optimizer's golden-section refinement calls
+    rde_constants hundreds of times with the same three.
     """
     key = ("rde_m1", m, L_f)
     if key in spectrum.derived:
@@ -352,14 +351,79 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
     return c if fc <= fd else d
 
 
+def _scan_grid(sc_of_t0, alphas: np.ndarray, t0s: np.ndarray, target: str):
+    """Contraction and bound over the (t0, alpha) grid, one row per t0.
+
+    Returns (t0_rows, contraction, in_range, bound).  Rows are the t0s at
+    which sc_of_t0 succeeds (the rows where it raises ConfigError or
+    DomainError are dropped), as Python floats.  contraction is eta
+    (target "hausdorff") or zeta (any other target) at every alpha of the
+    row; in_range marks 0 < alpha < 2 (hausdorff) or 0 < alpha < M1
+    (fractal); bound is hausdorff_bound or fractal_bound on the in-range
+    cells with contraction < 1 and NaN elsewhere.
+
+    Every value is bitwise equal to the scalar functions: sc_of_t0 is called
+    once per row, e^{l0 t0} and e^{l1 t0} come from math.exp once per row,
+    the contraction is one array expression in eta/zeta's operation order,
+    and math.log is taken of the contraction on the feasible cells only
+    (np.log may differ from math.log in the last ulp).  The alpha-only log
+    terms are taken once per (Lambda, M1).
+    """
+    hausdorff = target == "hausdorff"
+    t0_rows, rows = [], []
+    for t0 in t0s.tolist():
+        try:
+            rows.append(sc_of_t0(t0))
+        except (ConfigError, DomainError):
+            continue
+        t0_rows.append(t0)
+    e0 = np.array([math.exp(sc.lambda0 * sc.t0) for sc in rows])[:, None]
+    e1 = np.array([math.exp(sc.lambda1 * sc.t0) for sc in rows])[:, None]
+    M1, M2, M3 = (np.array([getattr(sc, name) for sc in rows])[:, None]
+                  for name in ("M1", "M2", "M3"))
+    a = alphas[None, :]
+    # eta/zeta's float arithmetic overflows to inf silently; so does this
+    with np.errstate(over="ignore"):
+        if hausdorff:
+            contraction = a * M1 * e0 + 2.0 * M2 * e1 + 2.0 * M3 * e0
+        else:
+            contraction = a * e0 + M2 * e1 + M3 * e0
+    upper = 2.0 if hausdorff else M1
+    in_range = np.broadcast_to((a > 0.0) & (a < upper), contraction.shape)
+    feasible = in_range & (contraction < 1.0)
+    alpha_list = alphas.tolist()
+    numerators = {}
+    bound = []
+    for sc, crow, rrow, frow in zip(rows, contraction.tolist(),
+                                    in_range.tolist(), feasible.tolist()):
+        L = sc.Lambda
+        key = (L, None if hausdorff else sc.M1)
+        num = numerators.get(key)
+        if num is None:
+            # the fractal numerator is negated so that both bounds are
+            # num / ln(contraction); negation is exact in IEEE arithmetic
+            num = numerators[key] = [
+                (-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
+                 else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
+                if r else None for x, r in zip(alpha_list, rrow)]
+        bound.append([n / math.log(c) if f else math.nan
+                      for n, c, f in zip(num, crow, frow)])
+    return (t0_rows, contraction, in_range,
+            np.array(bound).reshape(contraction.shape))
+
+
 def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
                    grid: int = 64) -> OptimizeResult:
     """Minimize the chosen bound over (alpha, t0).
 
     sc_of_t0: callable t0 -> SqueezeConstants (the application constants
-    depend on t0); alpha_range/t0_range: (lo, hi) intervals.  Coarse grid
-    scan restricted to the feasible set, then coordinate-wise golden-section
-    refinement to 1e-6.  Returns a structured infeasibility report (never an
+    depend on t0); alpha_range/t0_range: (lo, hi) intervals.  A grid x grid
+    array scan (`_scan_grid`), then coordinate-wise golden-section
+    refinement to 1e-6 with the scalar bound.  Only cells with 0 < alpha < 2
+    (hausdorff) or 0 < alpha < M1 (fractal) count toward the argmin and
+    toward min_contraction, and only those with contraction < 1 toward the
+    argmin; t0s where sc_of_t0 raises ConfigError or DomainError count
+    toward neither.  Returns a structured infeasibility report (never an
     exception) when no grid cell is feasible.
     """
     if target not in ("hausdorff", "fractal"):
@@ -374,42 +438,35 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
         try:
             sc = sc_of_t0(t0)
         except (ConfigError, DomainError):
-            return math.inf, math.inf
+            return math.inf
         if target == "hausdorff":
-            if not 0.0 < alpha < 2.0:
-                return math.inf, math.inf
-            contraction = eta(sc, alpha)
-            val = hausdorff_bound(sc, alpha)
+            val = hausdorff_bound(sc, alpha) if 0.0 < alpha < 2.0 else None
         else:
-            if not 0.0 < alpha < sc.M1:
-                return math.inf, math.inf
-            contraction = zeta(sc, alpha)
-            val = fractal_bound(sc, alpha)
-        return (val if val is not None else math.inf), contraction
+            val = fractal_bound(sc, alpha) if 0.0 < alpha < sc.M1 else None
+        return math.inf if val is None else val
 
     alphas = np.linspace(a_lo, a_hi, grid)
-    t0s = np.linspace(t_lo, t_hi, grid)
-    best = (math.inf, None, None)
-    min_contraction = math.inf
-    for t0 in t0s:
-        for alpha in alphas:
-            val, contraction = evaluate(alpha, t0)
-            min_contraction = min(min_contraction, contraction)
-            if val < best[0]:
-                best = (val, alpha, t0)
-    if best[1] is None:
+    t0_rows, contraction, in_range, bound = _scan_grid(
+        sc_of_t0, alphas, np.linspace(t_lo, t_hi, grid), target)
+    min_contraction = float(np.min(contraction, where=in_range,
+                                   initial=math.inf))
+    vals = np.where(np.isnan(bound), math.inf, bound)
+    best_val = float(np.min(vals, initial=math.inf))
+    if not best_val < math.inf:
         return OptimizeResult(
             feasible=False, alpha=None, t0=None, bound=None, target=target,
             min_contraction=min_contraction,
             reasons={"constraint": f"{'eta' if target == 'hausdorff' else 'zeta'} >= 1 "
                                    "everywhere on the grid",
                      "min_contraction": min_contraction})
+    i, j = divmod(int(np.argmin(vals)), len(alphas))
+    best = (best_val, float(alphas[j]), t0_rows[i])
     _, alpha, t0 = best
     # coordinate-wise golden-section refinement
     for _ in range(3):
-        alpha = _golden_min(lambda a: evaluate(a, t0)[0], a_lo, a_hi)
-        t0 = _golden_min(lambda t: evaluate(alpha, t)[0], t_lo, t_hi)
-    val, _ = evaluate(alpha, t0)
+        alpha = _golden_min(lambda a: evaluate(a, t0), a_lo, a_hi)
+        t0 = _golden_min(lambda t: evaluate(alpha, t), t_lo, t_hi)
+    val = evaluate(alpha, t0)
     if val > best[0]:  # refinement should never lose to the grid
         val, alpha, t0 = best
     return OptimizeResult(
@@ -419,45 +476,28 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
 
 def bound_grid_csv(sc_of_t0, alpha_range, t0_range, path_or_buf,
                    target: str = "hausdorff", grid: int = 64) -> None:
-    """CSV of (alpha, t0, contraction, bound-or-empty) over the scan grid."""
+    """CSV of (alpha, t0, contraction, bound-or-empty) over the scan grid.
+
+    One pass over `_scan_grid`'s arrays.  A row is written for every
+    alpha > 0, also at alpha >= 2 (hausdorff) or alpha >= M1 (any other
+    target: fractal), where the bound is left empty, as it is where the
+    contraction is >= 1.  No row is written for alpha <= 0 or for a t0
+    where sc_of_t0 raises ConfigError or DomainError.
+    """
     a_lo, a_hi = map(float, alpha_range)
     t_lo, t_hi = map(float, t0_range)
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        w = csv.writer(f)
-        w.writerow(["alpha", "t0", "contraction", "bound"])
-        for t0 in np.linspace(t_lo, t_hi, grid):
-            try:
-                sc = sc_of_t0(float(t0))
-            except (ConfigError, DomainError):
-                continue
-            for alpha in np.linspace(a_lo, a_hi, grid):
-                alpha = float(alpha)
-                try:
-                    if target == "hausdorff":
-                        contraction = eta(sc, alpha)
-                        val = hausdorff_bound(sc, alpha) if alpha < 2 else None
-                    else:
-                        contraction = zeta(sc, alpha)
-                        val = (fractal_bound(sc, alpha)
-                               if alpha < sc.M1 else None)
-                except DomainError:
-                    continue
-                w.writerow([repr(alpha), repr(float(t0)), repr(contraction),
-                            "" if val is None else repr(val)])
-    finally:
-        if own:
-            f.close()
-
-
-def report_to_json(report, path_or_buf) -> None:
-    obj = report.to_dict() if hasattr(report, "to_dict") else report
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w") if own else path_or_buf
-    try:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
-    finally:
-        if own:
-            f.close()
+    alphas = np.linspace(a_lo, a_hi, grid)
+    t0_rows, contraction, _, bound = _scan_grid(
+        sc_of_t0, alphas, np.linspace(t_lo, t_hi, grid), target)
+    cols = [(j, repr(x)) for j, x in enumerate(alphas.tolist()) if x > 0]
+    with open_path_or_buf(path_or_buf, "w", newline="") as f:
+        # the csv module's default dialect, written directly: float reprs
+        # and empty cells need no quoting, and rows end in "\r\n"
+        f.write("alpha,t0,contraction,bound\r\n")
+        for t0, crow, brow in zip(t0_rows, contraction.tolist(),
+                                  bound.tolist()):
+            t0_text = repr(t0)
+            f.write("".join(
+                f"{a_text},{t0_text},{crow[j]!r},"
+                f"{'' if math.isnan(brow[j]) else repr(brow[j])}\r\n"
+                for j, a_text in cols))

@@ -9,12 +9,12 @@ dimension estimate is the least-squares slope of ln N_eps against -ln eps.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import open_path_or_buf
 from .errors import ConfigError, DegenerateSampleError
 from .sim import Trajectory
 
@@ -219,24 +219,8 @@ def diameter(sample: AttractorSample) -> float:
 
 
 def counts_to_csv(result: dict, path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_path_or_buf(path_or_buf, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["eps", "n_eps"])
         for e, c in zip(result["eps"], result["counts"]):
             w.writerow([repr(float(e)), int(c)])
-    finally:
-        if own:
-            f.close()
-
-
-def result_to_json(result: dict, path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w") if own else path_or_buf
-    try:
-        json.dump(result, f, sort_keys=True, indent=2)
-        f.write("\n")
-    finally:
-        if own:
-            f.close()

@@ -12,12 +12,14 @@ source material flips the n^2 sign, which `paper_sign=True` restores.
 from __future__ import annotations
 
 import cmath
+import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
 
+from .core import open_path_or_buf
 from .errors import ConfigError, ContourError, DomainError, TruncationError
 
 RESIDUAL_TOL = 1e-10
@@ -405,9 +407,12 @@ class SpectrumTable:
                           compare=False)
 
     def __post_init__(self):
+        # stored as Python floats: numpy scalars would leak into every
+        # constant derived from the table and into its repr
         rhos = tuple(float(x) for x in self.rhos)
         if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
             raise ConfigError("rhos must be strictly decreasing")
+        object.__setattr__(self, "rhos", rhos)
         if any(m < 1 for m in self.multiplicities):
             raise ConfigError("multiplicities must be >= 1")
         if tuple(np.cumsum(self.multiplicities)) != tuple(self.cumulative):
@@ -479,14 +484,8 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
 
 
 def spectrum_to_csv(table: SpectrumTable, path_or_buf) -> None:
-    import csv
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_path_or_buf(path_or_buf, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["rho", "multiplicity", "k_cumulative"])
         for rho, mult, cum in table.to_rows():
             w.writerow([repr(float(rho)), mult, cum])
-    finally:
-        if own:
-            f.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -22,12 +23,13 @@ from . import bounds as bd
 from . import boxdim as bx
 from . import covering as cv
 from .charroots import ordered_spectrum, spectrum_to_csv
-from .core import HistorySegment, random_smooth_segment, sup_norm
+from .core import HistorySegment, random_smooth_segment, sup_norm, write_json
 from .errors import (ConfigError, ContourError, FdedimError,
                      IntegrationError, NetConstructionError, TruncationError)
 from .sim import (NonlinearitySpec, RDEParams, check_absorbing, check_squeeze,
                   rde_grid, simulate_rde)
-from .spectral import build_decomposition, fit_dichotomy_K, project, with_K
+from .spectral import (build_decomposition, estimate_projection_norm,
+                       fit_dichotomy_K, project, with_K)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,22 +43,6 @@ class _CliError(Exception):
     def __init__(self, msg, code=EXIT_USAGE):
         super().__init__(msg)
         self.code = code
-
-
-def _json_default(x):
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
-def _write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2, default=_json_default)
-        f.write("\n")
 
 
 def _merge_config(args, parser_dests):
@@ -132,7 +118,7 @@ def cmd_roots(args):
     table = _spectrum(args)
     out = _outdir(args)
     spectrum_to_csv(table, os.path.join(out, "spectrum.csv"))
-    _write_json(table.to_dict(), os.path.join(out, "spectrum.json"))
+    write_json(table.to_dict(), os.path.join(out, "spectrum.json"))
     print(f"spectrum: {len(table.rhos)} levels, rho1={table.rhos[0]!r}, "
           f"k_max={table.cumulative[-1]}")
     return EXIT_OK
@@ -153,7 +139,7 @@ def cmd_bounds(args):
     report = bd.bound_report(sc, float(args.alpha),
                              variant=args.variant or "autonomous")
     out = _outdir(args)
-    _write_json(report.to_dict(), os.path.join(out, "bound_report.json"))
+    write_json(report.to_dict(), os.path.join(out, "bound_report.json"))
     print(f"eta={report.eta!r} zeta={report.zeta!r} "
           f"hausdorff={report.hausdorff!r} fractal={report.fractal!r}")
     if report.hausdorff is None and report.fractal is None:
@@ -174,7 +160,7 @@ def cmd_optimize(args):
                             (float(args.t0_min), float(args.t0_max)),
                             target=target)
     out = _outdir(args)
-    _write_json(res.to_dict(), os.path.join(out, "optimize.json"))
+    write_json(res.to_dict(), os.path.join(out, "optimize.json"))
     bd.bound_grid_csv(sc_of_t0,
                       (float(args.alpha_min), float(args.alpha_max)),
                       (float(args.t0_min), float(args.t0_max)),
@@ -242,8 +228,9 @@ def cmd_squeeze_check(args):
     report = {k: v for k, v in report.items() if k != "rows"}
     report["constants"] = dataclasses.asdict(sc)
     report["M1_provenance"] = _m1_provenance(args)
+    report["projection_norm"] = estimate_projection_norm(decomp)
     out = _outdir(args)
-    _write_json(report, os.path.join(out, "squeeze_report.json"))
+    write_json(report, os.path.join(out, "squeeze_report.json"))
     print(f"squeeze check: passed={report['passed']} "
           f"min_slack_P={report['min_slack_P']!r} "
           f"min_slack_Q={report['min_slack_Q']!r} "
@@ -281,7 +268,7 @@ def cmd_absorbing_check(args):
     if radius is not None:
         report["absorbing"] = check_absorbing(traj, radius)
     out = _outdir(args)
-    _write_json(report, os.path.join(out, "absorbing_report.json"))
+    write_json(report, os.path.join(out, "absorbing_report.json"))
     print(f"absorbing check: envelope_ok={env_ok} violations={violations}")
     return EXIT_OK
 
@@ -309,7 +296,7 @@ def cmd_boxdim(args):
                   "num_points": len(sample)}
     result["diameter"] = diam
     out = _outdir(args)
-    _write_json(result, os.path.join(out, "boxdim.json"))
+    write_json(result, os.path.join(out, "boxdim.json"))
     if result.get("counts"):
         bx.counts_to_csv(result, os.path.join(out, "box_counts.csv"))
     print(f"boxdim: estimate={result.get('estimate')!r} "
@@ -330,7 +317,7 @@ def cmd_cover_check(args):
     report["within_bound"] = report["num_centers"] <= report["bound"]
     out = _outdir(args)
     cv.net_to_csv(net, os.path.join(out, "net.csv"))
-    cv.report_to_json(report, os.path.join(out, "cover_report.json"))
+    write_json(report, os.path.join(out, "cover_report.json"))
     print(f"covering: {report['num_centers']} centers "
           f"(bound {report['bound']!r}), passed={report['passed']}")
     return EXIT_OK
@@ -416,7 +403,7 @@ def cmd_pipeline(args):
         "attractor": {"num_points": len(sample), "diameter": diam,
                       "box_dimension": box},
     }
-    _write_json(report, os.path.join(out, "pipeline_report.json"))
+    write_json(report, os.path.join(out, "pipeline_report.json"))
     feasible = opt_h.feasible or (opt_f is not None and opt_f.feasible)
     print(f"pipeline: hausdorff={'%r' % opt_h.bound if opt_h.feasible else 'infeasible'} "
           f"fractal={'%r' % opt_f.bound if opt_f and opt_f.feasible else 'infeasible'} "
@@ -461,7 +448,10 @@ def _add_decomp(sp):
                     action="store_const", const=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fdedim argument parser, built once per process: parse_args does
+    not mutate it."""
     p = argparse.ArgumentParser(
         prog="fdedim",
         description="Attractor dimension bounds for delay equations")

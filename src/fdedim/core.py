@@ -7,8 +7,9 @@ L2(0, pi) norm of the reconstructed series).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -174,28 +175,48 @@ def interpolate(h: HistorySegment, theta) -> np.ndarray:
     return out.reshape(th.shape + (g.value_dim,))
 
 
+@contextlib.contextmanager
+def open_path_or_buf(path_or_buf, mode: str, **kwargs):
+    """Yield path_or_buf itself when it is an open file object; when it is
+    a path (str or bytes), yield the file opened with `mode` and `kwargs`
+    and close it on exit."""
+    if isinstance(path_or_buf, (str, bytes)):
+        with open(path_or_buf, mode, **kwargs) as f:
+            yield f
+    else:
+        yield path_or_buf
+
+
+def _json_default(x):
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    raise TypeError(f"not JSON serializable: {type(x)}")
+
+
+def write_json(obj, path_or_buf) -> None:
+    """The one JSON writer of every report: sorted keys, 2-space indent and
+    a trailing newline; numpy scalars and arrays become numbers and lists."""
+    with open_path_or_buf(path_or_buf, "w") as f:
+        json.dump(obj, f, sort_keys=True, indent=2, default=_json_default)
+        f.write("\n")
+
+
 def segment_to_csv(h: HistorySegment, path_or_buf) -> None:
     """One row per node: theta, v1..vd."""
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_path_or_buf(path_or_buf, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)])
         for theta, row in zip(h.grid.nodes(), h.values):
             w.writerow([repr(float(theta))] + [repr(float(x)) for x in row])
-    finally:
-        if own:
-            f.close()
 
 
 def segment_from_csv(path_or_buf, value_norm: str = "euclidean") -> HistorySegment:
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
+    with open_path_or_buf(path_or_buf, "r", newline="") as f:
         rows = list(csv.reader(f))
-    finally:
-        if own:
-            f.close()
     if len(rows) < 3:
         raise ConfigError("segment CSV needs at least 2 node rows")
     data = np.array([[float(x) for x in row] for row in rows[1:]])

@@ -8,12 +8,12 @@ certified by dense probing, not by formal proof.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import open_path_or_buf
 from .errors import ConfigError, NetConstructionError
 
 NORM_KINDS = ("sup", "euclidean", "weighted-sup")
@@ -206,24 +206,8 @@ def verify_covering(centers: np.ndarray, norm: NormSpec, r1: float,
 def net_to_csv(centers: np.ndarray, path_or_buf) -> None:
     """One center per row."""
     centers = np.asarray(centers, dtype=float)
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_path_or_buf(path_or_buf, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([f"x{k + 1}" for k in range(centers.shape[1])])
         for row in centers:
             w.writerow([repr(float(x)) for x in row])
-    finally:
-        if own:
-            f.close()
-
-
-def report_to_json(report: dict, path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w") if own else path_or_buf
-    try:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
-    finally:
-        if own:
-            f.close()

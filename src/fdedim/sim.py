@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GridSpec, HistorySegment, interpolate
+from .core import GridSpec, HistorySegment, interpolate, open_path_or_buf
 from .errors import (ConfigError, DegeneratePairError, IntegrationError,
                      ShapeError)
 
@@ -236,11 +236,9 @@ class Trajectory:
 
     def to_csv(self, path_or_buf, extra_columns: dict | None = None) -> None:
         """Rows: time, segment sup-norm, leading state coordinates."""
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
         lead = min(4, self.grid.value_dim)
         extra = extra_columns or {}
-        try:
+        with open_path_or_buf(path_or_buf, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["time", "sup_norm"]
                        + [f"y{k + 1}" for k in range(lead)]
@@ -252,9 +250,6 @@ class Trajectory:
                 w.writerow([repr(float(t)), repr(float(nn))]
                            + [repr(float(x)) for x in row[:lead]]
                            + [repr(float(col[k])) for col in extra.values()])
-        finally:
-            if own:
-                f.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdedim.bounds import (BoundReport, OptimizeResult, SqueezeConstants,
+                           _golden_min,
                            absorbing_entry_time, absorbing_radius,
                            bound_grid_csv, bound_report, eta, fractal_bound,
                            fractal_bound_alpha_free, hausdorff_bound,
                            hausdorff_bound_alpha_free, nonautonomous_bounds,
                            optimize_bound, rde_absorbing_envelope,
-                           rde_constants, report_to_json, rfde_constants,
-                           zeta)
+                           rde_constants, rfde_constants, zeta)
 from fdedim.charroots import ordered_spectrum
+from fdedim.core import write_json
 from fdedim.errors import ConfigError, DomainError
 
 
@@ -244,6 +246,181 @@ class TestOptimizer:
         assert len(lines) == 65
 
 
+# Reference implementations: the per-cell grid loops that `_scan_grid`
+# replaced in optimize_bound and bound_grid_csv, kept verbatim in logic.
+
+def _reference_optimize_bound(sc_of_t0, alpha_range, t0_range, target,
+                              grid):
+    a_lo, a_hi = map(float, alpha_range)
+    t_lo, t_hi = map(float, t0_range)
+
+    def evaluate(alpha, t0):
+        try:
+            c = sc_of_t0(t0)
+        except (ConfigError, DomainError):
+            return math.inf, math.inf
+        if target == "hausdorff":
+            if not 0.0 < alpha < 2.0:
+                return math.inf, math.inf
+            contraction = eta(c, alpha)
+            val = hausdorff_bound(c, alpha)
+        else:
+            if not 0.0 < alpha < c.M1:
+                return math.inf, math.inf
+            contraction = zeta(c, alpha)
+            val = fractal_bound(c, alpha)
+        return (val if val is not None else math.inf), contraction
+
+    alphas = np.linspace(a_lo, a_hi, grid)
+    t0s = np.linspace(t_lo, t_hi, grid)
+    best = (math.inf, None, None)
+    min_contraction = math.inf
+    for t0 in t0s:
+        for alpha in alphas:
+            val, contraction = evaluate(alpha, t0)
+            min_contraction = min(min_contraction, contraction)
+            if val < best[0]:
+                best = (val, alpha, t0)
+    if best[1] is None:
+        return OptimizeResult(
+            feasible=False, alpha=None, t0=None, bound=None, target=target,
+            min_contraction=min_contraction,
+            reasons={"constraint": f"{'eta' if target == 'hausdorff' else 'zeta'} >= 1 "
+                                   "everywhere on the grid",
+                     "min_contraction": min_contraction})
+    _, alpha, t0 = best
+    for _ in range(3):
+        alpha = _golden_min(lambda a: evaluate(a, t0)[0], a_lo, a_hi)
+        t0 = _golden_min(lambda t: evaluate(alpha, t)[0], t_lo, t_hi)
+    val, _ = evaluate(alpha, t0)
+    if val > best[0]:
+        val, alpha, t0 = best
+    return OptimizeResult(
+        feasible=True, alpha=float(alpha), t0=float(t0), bound=float(val),
+        target=target, min_contraction=min_contraction, reasons={})
+
+
+def _reference_bound_grid_csv(sc_of_t0, alpha_range, t0_range, f, target,
+                              grid):
+    a_lo, a_hi = map(float, alpha_range)
+    t_lo, t_hi = map(float, t0_range)
+    w = csv.writer(f)
+    w.writerow(["alpha", "t0", "contraction", "bound"])
+    for t0 in np.linspace(t_lo, t_hi, grid):
+        try:
+            c = sc_of_t0(float(t0))
+        except (ConfigError, DomainError):
+            continue
+        for alpha in np.linspace(a_lo, a_hi, grid):
+            alpha = float(alpha)
+            try:
+                if target == "hausdorff":
+                    contraction = eta(c, alpha)
+                    val = hausdorff_bound(c, alpha) if alpha < 2 else None
+                else:
+                    contraction = zeta(c, alpha)
+                    val = fractal_bound(c, alpha) if alpha < c.M1 else None
+            except DomainError:
+                continue
+            w.writerow([repr(alpha), repr(float(t0)), repr(contraction),
+                        "" if val is None else repr(val)])
+
+
+def _family(M1, M2, M3, l0, l1, Lam, m1_slope, hole):
+    """t0 -> constants; M1 (and so the fractal alpha range) moves with t0
+    when m1_slope > 0, and t0 inside the hole raises DomainError."""
+    def sc_of_t0(t0):
+        if hole[0] <= t0 <= hole[1]:
+            raise DomainError(f"no constants at t0={t0}")
+        return sc(M1=M1 * (1.0 + m1_slope * t0), M2=M2, M3=M3, l0=l0, l1=l1,
+                  Lam=Lam, t0=t0)
+    return sc_of_t0
+
+
+_family_args = st.tuples(
+    st.floats(0.05, 4.0), st.floats(0.001, 1.5), st.floats(0.0, 1.0),
+    st.floats(-3.0, 1.0), st.floats(-5.0, 0.0), st.integers(1, 4),
+    st.sampled_from([0.0, 0.5]),
+    st.tuples(st.floats(0.0, 9.0), st.floats(0.0, 3.0)).map(
+        lambda h: (h[0], h[0] + h[1])))
+_t0_range = st.tuples(st.floats(0.05, 3.0), st.floats(0.01, 5.0)).map(
+    lambda t: (t[0], t[0] + t[1]))
+_NO_HOLE = (9.5, 9.5)
+_FEASIBLE = (0.5, 0.05, 0.02, -0.5, -1.0, 1, 0.0, _NO_HOLE)
+
+
+def _examples(cases):
+    def decorate(test):
+        for fam, alpha_range, target, grid in cases:
+            test = example(fam=fam, alpha_range=alpha_range,
+                           t0_range=(0.5, 3.0), target=target,
+                           grid=grid)(test)
+        return test
+    return decorate
+
+
+# Pinned cases: feasible on part of the grid with alpha crossing 2 or M1;
+# eta/zeta >= 1 everywhere; sc_of_t0 raising at every t0; and, with
+# lambda0 = lambda1 = 0 and dyadic constants, a grid alpha exactly at 2 or
+# M1 with contraction < 1 and a contraction exactly 1 inside the range.
+_PINNED = [
+    (_FEASIBLE, (0.01, 2.5), "hausdorff", 16),
+    (_FEASIBLE, (0.01, 1.0), "fractal", 16),
+    ((2.0, 1.5, 1.0, 0.5, 0.0, 2, 0.5, _NO_HOLE), (0.01, 1.99),
+     "hausdorff", 8),
+    ((0.5, 0.05, 0.02, -0.5, -1.0, 1, 0.0, (0.0, 9.0)), (0.01, 1.99),
+     "fractal", 8),
+    ((0.125, 0.0625, 0.0625, 0.0, 0.0, 1, 0.0, _NO_HOLE), (0.5, 2.5),
+     "hausdorff", 5),
+    ((1.0, 0.125, 0.125, 0.0, 0.0, 1, 0.0, _NO_HOLE), (0.5, 2.5),
+     "hausdorff", 5),
+    ((0.5, 0.125, 0.125, 0.0, 0.0, 1, 0.0, _NO_HOLE), (0.25, 1.25),
+     "fractal", 5),
+    ((1.0, 0.25, 0.25, 0.0, 0.0, 1, 0.0, _NO_HOLE), (0.25, 1.25),
+     "fractal", 5),
+]
+
+
+class TestGridScanMatchesReference:
+    """The array scan of optimize_bound/bound_grid_csv equals the per-cell
+    loops it replaced: the same OptimizeResult (min_contraction included)
+    and byte-identical CSV text."""
+
+    @given(fam=_family_args,
+           alpha_range=st.tuples(st.floats(0.001, 3.0),
+                                 st.floats(0.01, 4.0)).map(
+               lambda a: (a[0], a[0] + a[1])),
+           t0_range=_t0_range, target=st.sampled_from(["hausdorff",
+                                                       "fractal"]),
+           grid=st.integers(2, 16))
+    @_examples(_PINNED)
+    @settings(max_examples=80, deadline=None)
+    def test_optimize_bound(self, fam, alpha_range, t0_range, target, grid):
+        sc_of_t0 = _family(*fam)
+        got = optimize_bound(sc_of_t0, alpha_range, t0_range, target, grid)
+        want = _reference_optimize_bound(sc_of_t0, alpha_range, t0_range,
+                                         target, grid)
+        assert got.to_dict() == want.to_dict()
+
+    @given(fam=_family_args,
+           alpha_range=st.tuples(st.floats(-1.0, 3.0),
+                                 st.floats(0.01, 4.0)).map(
+               lambda a: (a[0], a[0] + a[1])),
+           t0_range=_t0_range, target=st.sampled_from(["hausdorff",
+                                                       "fractal"]),
+           grid=st.integers(2, 16))
+    @_examples(_PINNED + [(_FEASIBLE, (-0.5, 2.5), "hausdorff", 16),
+                          (_FEASIBLE, (0.0, 1.0), "fractal", 16)])
+    @settings(max_examples=80, deadline=None)
+    def test_bound_grid_csv(self, fam, alpha_range, t0_range, target, grid):
+        sc_of_t0 = _family(*fam)
+        got, want = io.StringIO(), io.StringIO()
+        bound_grid_csv(sc_of_t0, alpha_range, t0_range, got, target, grid)
+        _reference_bound_grid_csv(sc_of_t0, alpha_range, t0_range, want,
+                                  target, grid)
+        assert got.getvalue() == want.getvalue()
+
+
 class TestRdeConstants:
     def test_undelayed_example(self):
         spec = ordered_spectrum(1.0, 0.0, 1.0, 2, -9.0)  # rhos -2, -5
@@ -375,7 +552,7 @@ def test_report_json_roundtrip():
     c = sc(M1=0.1, M2=0.05, M3=0.02, l0=-0.5, l1=-1.0)
     rep = bound_report(c, 0.05)
     buf = io.StringIO()
-    report_to_json(rep, buf)
+    write_json(rep.to_dict(), buf)
     import json
     back = json.loads(buf.getvalue())
     assert back["hausdorff"] == rep.hausdorff

@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from fdedim.boxdim import (AttractorSample, _dedup, box_count,
                            box_counting_dim, counts_to_csv, diameter,
-                           dyadic_eps, result_to_json, sample_attractor)
-from fdedim.core import GridSpec, HistorySegment, random_smooth_segment
+                           dyadic_eps, sample_attractor)
+from fdedim.core import (GridSpec, HistorySegment, random_smooth_segment,
+                         write_json)
 from fdedim.errors import ConfigError, DegenerateSampleError
 from fdedim.sim import RDEParams, rde_grid, simulate_rde
 
@@ -263,6 +264,6 @@ def test_serialization():
     assert lines[0] == "eps,n_eps"
     assert len(lines) == len(res["eps"]) + 1
     jbuf = io.StringIO()
-    result_to_json(res, jbuf)
+    write_json(res, jbuf)
     import json
     assert json.loads(jbuf.getvalue())["estimate"] == res["estimate"]

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -157,6 +158,8 @@ class TestChecksAndPipeline:
         rep = json.loads((out / "squeeze_report.json").read_text())
         assert "min_slack_P" in rep and "min_slack_Q" in rep
         assert rep["constants"]["M2"] > 0
+        # the certified M1 dominates the exact ||P|| it is reported next to
+        assert rep["constants"]["M1"] >= rep["projection_norm"] >= 1.0
 
     def test_absorbing_check_runs(self, tmp_path):
         code, out = run(["absorbing-check", "--a", "3", "--b", "0.3",
@@ -209,6 +212,14 @@ class TestChecksAndPipeline:
         assert rep["params"]["provenance"] == "user-supplied"
         for name in ("spectrum.csv", "bound_grid.csv", "trajectory.csv"):
             assert (out / name).exists()
+        # plain CSV: every cell is a float literal or empty (no numpy reprs)
+        with open(out / "bound_grid.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["alpha", "t0", "contraction", "bound"]
+        assert len(rows) == 64 * 64
+        for row in rows:
+            for cell in row:
+                assert cell == "" or isinstance(float(cell), float)
 
     def test_pipeline_deterministic(self, tmp_path):
         argv = (["pipeline"] + self.RDE
