@@ -52,9 +52,10 @@ class NormSpec:
     def norm(self, pts: np.ndarray) -> np.ndarray:
         """Row-wise norm of an (n, m) array (or a single m-vector).
 
-        Reduced one coordinate column at a time: numpy's reduction over a
-        short last axis is ~10x slower on the probe clouds of build_net,
-        and the column loop gives the same values.
+        Used for single vectors and for the distances of a probe cloud to
+        the origin.  Reduced one coordinate column at a time, in the order
+        that _distances repeats bitwise; numpy's reduction over a short
+        last axis is ~10x slower on an (n, m) cloud.
         """
         pts = np.asarray(pts, dtype=float)
         if self.kind == "weighted-sup":
@@ -68,6 +69,34 @@ class NormSpec:
         out = np.abs(cols[0])
         for col in cols[1:]:
             out = np.maximum(out, np.abs(col))
+        return out
+
+    def _distances(self, cols: np.ndarray, c: np.ndarray, out: np.ndarray,
+                   tmp: np.ndarray) -> np.ndarray:
+        """self.norm(probes - c) for probes stored as (m, n) columns cols.
+
+        Writes into the length-n buffers out (returned) and tmp, with no
+        other temporaries.  Each element sees norm's operations in norm's
+        order (subtract c, weight, square or abs, add or max across the
+        columns in order, sqrt last), so the values are bitwise equal.
+        """
+        w = self.weights
+        euclidean = self.kind == "euclidean"
+        for k in range(self.dim):
+            acc = out if k == 0 else tmp
+            np.subtract(cols[k], c[k], out=acc)
+            if w:
+                np.multiply(acc, w[k], out=acc)
+            if euclidean:
+                np.multiply(acc, acc, out=acc)
+                if k:
+                    np.add(out, acc, out=out)
+            else:
+                np.abs(acc, out=acc)
+                if k:
+                    np.maximum(out, acc, out=out)
+        if euclidean:
+            np.sqrt(out, out=out)
         return out
 
     def _box_halfwidths(self, radius: float) -> np.ndarray:
@@ -154,6 +183,8 @@ def build_net(norm: NormSpec, r1: float, r2: float,
     if max_centers is not None:
         guard = min(guard, float(max_centers))
     probes = _probe_cloud(norm, r1, r2, random_probes)
+    cols = np.ascontiguousarray(probes.T)
+    out, tmp = np.empty(len(probes)), np.empty(len(probes))
     centers = [np.zeros(norm.dim)]
     dist = norm.norm(probes)  # distance to the origin center
     threshold = r2 * (1.0 + COVER_SLACK)
@@ -167,7 +198,7 @@ def build_net(norm: NormSpec, r1: float, r2: float,
                 f"(dim={norm.dim}, r1/r2={r1 / r2:.3g})")
         c = probes[idx]
         centers.append(c)
-        dist = np.minimum(dist, norm.norm(probes - c))
+        np.minimum(dist, norm._distances(cols, c, out, tmp), out=dist)
     return np.array(centers)
 
 
@@ -175,18 +206,26 @@ def verify_covering(centers: np.ndarray, norm: NormSpec, r1: float,
                     r2: float, probes: int = DEFAULT_RANDOM_PROBES) -> dict:
     """Probe-based covering certificate.
 
-    Every lattice + random probe in the r1-ball must lie within r2 of some
-    center.  Returns a report with the worst probe distance; on failure the
-    witness probe is included.
+    centers is one m-vector or a (k, m) array.  Every lattice + random
+    probe in the r1-ball must lie within r2 of some center.  Returns a
+    report with the worst probe distance; on failure the witness probe is
+    included.
     """
-    centers = np.asarray(centers, dtype=float)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.size == 0:
         raise ConfigError("centers must be nonempty")
-    centers = centers.reshape(-1, norm.dim)
+    if centers.ndim > 2:
+        raise ConfigError("centers must be an m-vector or a (k, m) array, "
+                          f"got shape {centers.shape}")
+    if centers.shape[1] != norm.dim:
+        raise ConfigError(f"centers have width {centers.shape[1]} but the "
+                          f"norm has dim {norm.dim}")
     cloud = _probe_cloud(norm, r1, r2, probes)
+    cols = np.ascontiguousarray(cloud.T)
+    out, tmp = np.empty(len(cloud)), np.empty(len(cloud))
     dist = np.full(len(cloud), np.inf)
     for c in centers:
-        dist = np.minimum(dist, norm.norm(cloud - c))
+        np.minimum(dist, norm._distances(cols, c, out, tmp), out=dist)
     worst = int(np.argmax(dist))
     max_uncovered = float(dist[worst])
     passed = max_uncovered <= r2 * (1.0 + COVER_SLACK)

@@ -124,27 +124,6 @@ class RDEParams:
 
 
 @dataclass(frozen=True)
-class DichotomyInputs:
-    """User-supplied dichotomy data for the abstract retarded system."""
-
-    K0: float
-    gamma: float
-    beta: float
-    K: float
-    m: int
-
-    def __post_init__(self):
-        if not (self.K0 > 0 and self.K > 0):
-            raise ConfigError("need K0 > 0 and K > 0")
-        if not self.gamma > 0:
-            raise ConfigError("need gamma > 0")
-        if not self.beta < -self.gamma:
-            raise ConfigError(f"need beta < -gamma, got beta={self.beta}")
-        if self.m < 1:
-            raise ConfigError("projection dimension m must be >= 1")
-
-
-@dataclass(frozen=True)
 class RFDEParams:
     """Finite-dimensional retarded equation with discrete delays, an
     optional distributed kernel A(t, theta), and a delayed nonlinearity."""
@@ -154,7 +133,6 @@ class RFDEParams:
     r: float
     kernel: object = None    # callable (t, theta) -> (n, n) array, or None
     nonlinearity: NonlinearitySpec = NonlinearitySpec()
-    dichotomy: DichotomyInputs | None = None
 
     def __post_init__(self):
         mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)

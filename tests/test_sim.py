@@ -12,11 +12,10 @@ from fdedim.core import (GridSpec, HistorySegment, interpolate,
                          random_smooth_segment, sup_norm)
 from fdedim.errors import (ConfigError, DegeneratePairError,
                            IntegrationError, ShapeError)
-from fdedim.sim import (BLOWUP_NORM, DichotomyInputs, NonlinearitySpec,
-                        RDEParams, RFDEParams, _check_steps,
-                        _simpson_weights, check_absorbing, check_squeeze,
-                        linear_semigroup, rde_grid, simulate_rde,
-                        simulate_rfde)
+from fdedim.sim import (BLOWUP_NORM, NonlinearitySpec, RDEParams, RFDEParams,
+                        _check_steps, _simpson_weights, check_absorbing,
+                        check_squeeze, linear_semigroup, rde_grid,
+                        simulate_rde, simulate_rfde)
 from fdedim.spectral import build_decomposition, project
 
 
@@ -63,10 +62,6 @@ class TestParamValidation:
             RFDEParams(matrices=(A,), delays=(1.5,), r=1.0)
         with pytest.raises(ShapeError):
             RFDEParams(matrices=(A, np.eye(2)), delays=(0.0, 0.5), r=1.0)
-
-    def test_dichotomy_inputs(self):
-        with pytest.raises(ConfigError):
-            DichotomyInputs(K0=0.5, gamma=1.0, beta=-0.5, K=1.0, m=1)
 
 
 class TestSimulateRde:
