@@ -433,11 +433,17 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
     if not (a_hi > a_lo > 0 and t_hi > t_lo > 0):
         raise ConfigError("ranges must be positive nonempty intervals")
 
-    def evaluate(alpha, t0):
-        """Bound value, or inf when infeasible at (alpha, t0)."""
+    def constants(t0):
+        """sc_of_t0(t0), or None where it raises ConfigError or DomainError."""
         try:
-            sc = sc_of_t0(t0)
+            return sc_of_t0(t0)
         except (ConfigError, DomainError):
+            return None
+
+    def evaluate(sc, alpha):
+        """Bound value at alpha for the constants sc, or inf when
+        infeasible there (sc None included)."""
+        if sc is None:
             return math.inf
         if target == "hausdorff":
             val = hausdorff_bound(sc, alpha) if 0.0 < alpha < 2.0 else None
@@ -462,11 +468,13 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
     i, j = divmod(int(np.argmin(vals)), len(alphas))
     best = (best_val, float(alphas[j]), t0_rows[i])
     _, alpha, t0 = best
-    # coordinate-wise golden-section refinement
+    # coordinate-wise golden-section refinement; an alpha leg builds the
+    # constants of its fixed t0 once
     for _ in range(3):
-        alpha = _golden_min(lambda a: evaluate(a, t0), a_lo, a_hi)
-        t0 = _golden_min(lambda t: evaluate(alpha, t), t_lo, t_hi)
-    val = evaluate(alpha, t0)
+        sc = constants(t0)
+        alpha = _golden_min(lambda a: evaluate(sc, a), a_lo, a_hi)
+        t0 = _golden_min(lambda t: evaluate(constants(t), alpha), t_lo, t_hi)
+    val = evaluate(constants(t0), alpha)
     if val > best[0]:  # refinement should never lose to the grid
         val, alpha, t0 = best
     return OptimizeResult(

@@ -206,7 +206,7 @@ def _decomposition_pipeline(args, params):
     grid = rde_grid(params, int(args.num_nodes or 33))
     decomp = build_decomposition(table, m, params, grid)
     K_fit, K_margin = fit_dichotomy_K(
-        decomp, trials=int(args.k_trials or 30),
+        decomp, trials=30 if args.k_trials is None else int(args.k_trials),
         horizon=float(args.k_horizon or 5.0 * params.r),
         seed=int(args.seed or 0))
     return table, with_K(decomp, K_fit, K_margin), grid
@@ -222,8 +222,8 @@ def cmd_squeeze_check(args):
     rng = np.random.default_rng(int(args.seed or 0) + 1)
     phi1 = random_smooth_segment(grid, rng, scale=float(args.ic_scale or 1.0))
     phi2 = random_smooth_segment(grid, rng, scale=float(args.ic_scale or 1.0))
-    tr1 = simulate_rde(params, phi1, float(args.T), float(args.dt))
-    tr2 = simulate_rde(params, phi2, float(args.T), float(args.dt))
+    tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
+                            float(args.dt))
     report = check_squeeze(tr1, tr2, decomp, sc)
     report = {k: v for k, v in report.items() if k != "rows"}
     report["constants"] = dataclasses.asdict(sc)
@@ -355,8 +355,8 @@ def cmd_pipeline(args):
     scale = float(args.ic_scale or 1.0)
     phi1 = random_smooth_segment(grid, rng, scale=scale)
     phi2 = random_smooth_segment(grid, rng, scale=scale)
-    tr1 = simulate_rde(params, phi1, float(args.T), float(args.dt))
-    tr2 = simulate_rde(params, phi2, float(args.T), float(args.dt))
+    tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
+                            float(args.dt))
     tr1.to_csv(os.path.join(out, "trajectory.csv"))
     squeeze = None
     if opt_h.feasible:

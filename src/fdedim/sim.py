@@ -8,7 +8,9 @@ history), so one array call gives the forcing at all of the block's stage
 times, and only y_{k+1} = R y_k + c_k stays sequential.  The time step dt
 divides the history-grid spacing.  The integrator is classical RK4;
 off-step delayed values come from cubic Hermite interpolation of the
-stored (state, derivative) pairs, which preserves 4th order.
+stored (state, derivative) pairs, which preserves 4th order.  A list of
+histories on one grid integrates as one batch: the state carries a batch
+axis, and every member is bitwise equal to its own single run.
 
 Model classes:
   * scalar retarded reaction-diffusion on (0, pi) with Dirichlet walls,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -274,8 +276,16 @@ def _rk4_affine(h, L1, L2, L3, y, g1, g2, g3):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _rowwise(x, M):
+    """x @ M over the last axis of x as one 2-D product, whose rows round
+    the same whatever the batch size (a stack of (B, d) products would
+    not: B = 1 takes the matrix-vector kernel)."""
+    return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1]
+                                                   + M.shape[1:])
+
+
 def _hermite(ys, dys, dt, taus):
-    """Cubic Hermite values at times taus > 0 from the stored (state,
+    """Cubic Hermite values at times taus >= 0 from the stored (state,
     derivative) pairs at multiples of dt; within 1e-10 steps of a stored
     time, the stored state itself."""
     x = taus / dt
@@ -283,7 +293,7 @@ def _hermite(ys, dys, dt, taus):
     s = x - i
     up = s > 1.0 - 1e-10
     i = i + up
-    s = np.where(up | (s < 1e-10), 0.0, s)[:, None]
+    s = np.where(up | (s < 1e-10), 0.0, s)[:, None, None]
     j = np.minimum(i + 1, len(ys) - 1)
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
@@ -293,51 +303,79 @@ def _hermite(ys, dys, dt, taus):
             + h01 * ys[j] + h11 * dt * dys[j])
 
 
-def _history(phi, grid: GridSpec):
-    """(initial segment, theta-array -> values) for a HistorySegment or a
-    callable theta -> value vector on [-r, 0]."""
-    if not callable(phi):
-        if phi.grid != grid:
+def _history(phis, grid: GridSpec):
+    """(initial values (nodes, B, d), theta-array -> values (..., B, d))
+    for B histories, each a HistorySegment or a callable theta -> value
+    vector on [-r, 0].  The segments are interpolated side by side, as one
+    segment B*d values wide; a callable is read at the thetas themselves."""
+    n, d, B = grid.num_nodes, grid.value_dim, len(phis)
+    segs = []
+    for phi in phis:
+        if callable(phi):
+            segs.append(HistorySegment.from_function(grid, phi))
+        elif phi.grid != grid:
             raise ShapeError("initial history grid mismatch")
-        return phi, lambda th: interpolate(phi, th)
-    d = grid.value_dim
+        else:
+            segs.append(phi)
+    init = np.stack([s.values for s in segs], axis=1)
+    wide = HistorySegment(replace(grid, value_dim=B * d),
+                          init.reshape(n, B * d))
+    calls = [(k, phi) for k, phi in enumerate(phis) if callable(phi)]
 
     def values(th):
-        # one call per distinct theta: the callable need not take arrays
-        uniq, inv = np.unique(th.ravel(), return_inverse=True)
-        rows = np.array([np.broadcast_to(np.asarray(phi(float(u)), dtype=float),
-                                         (d,)) for u in uniq])
-        return rows[inv].reshape(th.shape + (d,))
+        out = interpolate(wide, th).reshape(th.shape + (B, d))
+        if calls:
+            # one call per distinct theta: the callable need not take arrays
+            uniq, inv = np.unique(th.ravel(), return_inverse=True)
+            for k, phi in calls:
+                rows = np.array([np.broadcast_to(
+                    np.asarray(phi(float(u)), dtype=float), (d,))
+                    for u in uniq])
+                out[..., k, :] = rows[inv].reshape(th.shape + (d,))
+        return out
 
-    return HistorySegment.from_function(grid, phi), values
+    return init, values
 
 
-def _integrate(split: _Split, phi, grid: GridSpec, T: float,
-               dt: float) -> Trajectory:
-    """Classical RK4 by the method of steps, one delay block at a time.
+def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
+               dt: float) -> list[Trajectory]:
+    """Classical RK4 by the method of steps, one delay block at a time,
+    for a batch of B histories on one grid.
 
-    A block is nb = floor(min lag / dt) steps (the whole run when nothing
-    is delayed), so every delayed read of a block lands in steps already
-    resolved or in the initial history: the forcing of all its stage times
-    comes from one call, through one vectorized lookup (cubic Hermite on
-    the stored (y, y') pairs for t > 0, the history interpolant for
-    t <= 0).  What stays sequential is y_{k+1} = R_k y_k + c_k.
-    phi: HistorySegment or callable theta -> value vector on [-r, 0].
+    The state is a (steps + 1, B, d) array.  A block is
+    nb = floor(min lag / dt) steps (the whole run when nothing is delayed),
+    so every delayed read of a block lands in steps already resolved or in
+    the initial histories: the forcing of all its stage times, for the
+    whole batch, comes from one call through one vectorized lookup (cubic
+    Hermite on the stored (y, y') pairs for t >= 0, the history
+    interpolant for t < 0).  What stays sequential is y_{k+1} = R_k y_k + c_k,
+    for all B members at once.  Every member's trajectory is bitwise equal
+    to its own run as a batch of one.  phis: list of HistorySegment or
+    callable theta -> value vector on [-r, 0].
     """
-    r, d = grid.delay_r, grid.value_dim
+    r, d, B = grid.delay_r, grid.value_dim, len(phis)
     steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T) or n_steps < 1:
         raise ConfigError(f"T={T} must be a positive multiple of dt={dt}")
-    seg, history = _history(phi, grid)
+    init, history = _history(phis, grid)
 
-    ys = np.zeros((n_steps + 1, d))
-    dys = np.zeros((n_steps + 1, d))
-    ys[0] = seg.values[-1]
+    ys = np.zeros((n_steps + 1, B, d))
+    dys = np.zeros((n_steps + 1, B, d))
+    ys[0] = init[-1]
+    # the step's operand: a batch as a stack of (d, 1) columns, one history
+    # as a (d,) vector.  Both make one matrix-vector product per member, so
+    # every member rounds as in its own single run (one (B, d) @ (d, d)
+    # matrix-matrix product would not).  The stacked product costs a
+    # single-history run 2-5 % more, which shows in the ensemble's tail.
+    operand = (d,) if B == 1 else (B, d, 1)
 
     def lookup(taus):
-        out = np.empty(taus.shape + (d,))
-        past = taus <= 1e-12
+        out = np.empty(taus.shape + (B, d))
+        # Hermite gives the stored y_0 itself for 0 <= tau < 1e-10 dt, the
+        # value the history interpolant gives at theta = 0, so a block that
+        # starts exactly one lag after t = 0 reads no history
+        past = taus < 0.0
         if past.any():
             out[past] = history(np.clip(taus[past], -r, 0.0))
         if not past.all():
@@ -359,39 +397,50 @@ def _integrate(split: _Split, phi, grid: GridSpec, T: float,
     for k0 in range(0, n_steps, nb):
         m = min(nb, n_steps - k0)
         stage_t = np.concatenate((node_t[k0:k0 + m + 1], mid_t[k0:k0 + m]))
-        g = split.forcing(stage_t, lookup)[..., None]
+        g = np.empty((len(stage_t), B, d, 1))
+        # broadcast: a system with nothing delayed has the forcing 0.0
+        g[..., 0] = split.forcing(stage_t, lookup)
         g_node, g_mid = g[:m + 1], g[m + 1:]
         if callable(L):
-            Lt = L(stage_t)
+            # one (d, d) matrix per stage time, shared by the batch
+            Lt = L(stage_t)[:, None]
             L_node, L_mid = Lt[:m + 1], Lt[m + 1:]
             L_start, L_end = L_node[:-1], L_node[1:]
-            R = _rk4_affine(dt, L_start, L_mid, L_end, eye, 0.0, 0.0, 0.0)
+            R = _rk4_affine(dt, L_start, L_mid, L_end, eye, 0.0, 0.0,
+                            0.0).reshape(m, d, d)
         else:
             L_node = L_mid = L_start = L_end = L
             R = np.broadcast_to(R_const, (m, d, d))
-        c = _rk4_affine(dt, L_start, L_mid, L_end, np.zeros((m, d, 1)),
-                        g_node[:-1], g_mid, g_node[1:])[..., 0]
-        y = ys[k0]
+        c = _rk4_affine(dt, L_start, L_mid, L_end, np.zeros((m, B, d, 1)),
+                        g_node[:-1], g_mid, g_node[1:])
+        states = ys[k0:k0 + m + 1].reshape((m + 1,) + operand)  # a view
+        c = c.reshape((m,) + operand)
+        Y = states[0]
         # past a blow-up the block may overflow; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
-                y = R[j] @ y + c[j]
-                ys[k0 + 1 + j] = y
+                Y = R[j] @ Y + c[j]
+                states[j + 1] = Y
         blk = ys[k0 + 1:k0 + m + 1]
-        bad = ~np.isfinite(blk).all(axis=1) | (np.abs(blk).max(axis=1)
+        bad = ~np.isfinite(blk).all(axis=2) | (np.abs(blk).max(axis=2)
                                                 > BLOWUP_NORM)
         if bad.any():
-            k = k0 + int(np.argmax(bad))
-            raise IntegrationError(f"blow-up at t={k * dt + dt:.6g}")
-        dys[k0:k0 + m + 1] = (L_node @ ys[k0:k0 + m + 1, :, None]
+            # the earliest step, and its first member
+            j, k = (int(i) for i in np.argwhere(bad)[0])
+            which = f" in history {k} of {B}" if B > 1 else ""
+            raise IntegrationError(
+                f"blow-up at t={(k0 + j) * dt + dt:.6g}{which}")
+        dys[k0:k0 + m + 1] = (L_node @ ys[k0:k0 + m + 1, ..., None]
                               + g_node)[..., 0]
 
-    # assemble trajectory at history-grid spacing, prepending the history
+    # assemble trajectories at history-grid spacing, prepending the history
     n_out = n_steps // steps_per_node
     times = np.concatenate([grid.nodes()[:-1],
                             np.arange(n_out + 1) * grid.spacing])
-    states = np.concatenate([seg.values[:-1], ys[::steps_per_node]])
-    return Trajectory(grid, times, states)
+    samples = ys[::steps_per_node]
+    return [Trajectory(grid, times,
+                       np.concatenate([init[:-1, k], samples[:, k]]))
+            for k in range(B)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +459,7 @@ def _rde_split(params: RDEParams) -> _Split:
         yd = lookup(times - r)
         out = -b * yd
         if not nl.is_zero:
-            out = out + fac * (nl(yd @ S.T) @ S)
+            out = out + fac * _rowwise(nl(_rowwise(yd, S.T)), S)
         return out
 
     return _Split(L, forcing, (r,))
@@ -438,13 +487,20 @@ def _rfde_split(params: RFDEParams, grid: GridSpec, sigma: float) -> _Split:
                               for th in ths] for t in times.tolist()])
 
     def forcing(times, lookup):
-        out = np.zeros((len(times), d))
+        out = 0.0
         for A, w in delayed:
-            out = out + lookup(times - w) @ A.T
+            out = out + _rowwise(lookup(times - w), A.T)
         if kern is not None:
-            K = w_past * kernel_at(times, past)        # (times, nodes, d, d)
-            u = lookup(times[:, None] + past)          # (times, nodes, d)
-            out = out + (K @ u[..., None]).sum(axis=1)[..., 0]
+            # (times, nodes, 1, d, d): one kernel value for the whole batch
+            K = (w_past * kernel_at(times, past))[:, :, None]
+            u = lookup(times[:, None] + past)          # (times, nodes, B, d)
+            Ku = (K @ u[..., None])[..., 0]
+            # node by node: a reduction over the node axis would sum
+            # pairwise when B * d == 1 and in order otherwise
+            acc = Ku[:, 0]
+            for i in range(1, Ku.shape[1]):
+                acc = acc + Ku[:, i]
+            out = out + acc
         if not nl.is_zero:
             out = out + nl(lookup(times - r))
         return out
@@ -483,31 +539,46 @@ def rde_grid(params: RDEParams, num_nodes: int) -> GridSpec:
                     value_dim=params.num_modes, value_norm="modal")
 
 
-def simulate_rde(params: RDEParams, phi, T: float, dt: float,
-                 grid: GridSpec | None = None) -> Trajectory:
-    """Integrate the modal reaction-diffusion system from history phi."""
+def _batch(phi, grid: GridSpec | None):
+    """(histories, grid, single): phi as a list of initial histories, the
+    grid they share, and whether phi was one history rather than a list."""
+    single = not isinstance(phi, list)
+    phis = [phi] if single else phi
+    if not phis:
+        raise ConfigError("empty list of initial histories")
     if grid is None:
-        if not isinstance(phi, HistorySegment):
+        if not isinstance(phis[0], HistorySegment):
             raise ConfigError("grid required when phi is a callable")
-        grid = phi.grid
+        grid = phis[0].grid
+    return phis, grid, single
+
+
+def simulate_rde(params: RDEParams, phi, T: float, dt: float,
+                 grid: GridSpec | None = None):
+    """Integrate the modal reaction-diffusion system from history phi.
+
+    phi is one history (HistorySegment or callable), giving a Trajectory,
+    or a list of histories on one grid, integrated as one batch and giving
+    a list of Trajectory, each bitwise equal to its own single run.
+    """
+    phis, grid, single = _batch(phi, grid)
     if grid.value_dim != params.num_modes or grid.value_norm != "modal":
         raise ShapeError("grid must be modal with value_dim == num_modes")
     if abs(grid.delay_r - params.r) > 1e-12 * params.r:
         raise ShapeError("grid delay must equal params.r")
-    return _integrate(_rde_split(params), phi, grid, T, dt)
+    trajs = _integrate(_rde_split(params), phis, grid, T, dt)
+    return trajs[0] if single else trajs
 
 
 def simulate_rfde(params: RFDEParams, phi, sigma: float, T: float, dt: float,
-                  grid: GridSpec | None = None) -> Trajectory:
+                  grid: GridSpec | None = None):
     """Integrate the finite-dimensional retarded system from time sigma.
 
     Output times are relative to sigma (the trajectory starts at 0); the
     kernel and any explicit time dependence see the absolute time sigma + t.
+    phi is one history or a list of them, as in `simulate_rde`.
     """
-    if grid is None:
-        if not isinstance(phi, HistorySegment):
-            raise ConfigError("grid required when phi is a callable")
-        grid = phi.grid
+    phis, grid, single = _batch(phi, grid)
     if grid.value_dim != params.dim or grid.value_norm != "euclidean":
         raise ShapeError("grid must be euclidean with value_dim == system dim")
     if abs(grid.delay_r - params.r) > 1e-12 * params.r:
@@ -515,13 +586,14 @@ def simulate_rfde(params: RFDEParams, phi, sigma: float, T: float, dt: float,
     for w in params.delays:
         if w != 0.0 and w < dt - 1e-12:
             raise ConfigError(f"delay {w} must be 0 or >= dt")
-    return _integrate(_rfde_split(params, grid, sigma), phi, grid, T, dt)
+    trajs = _integrate(_rfde_split(params, grid, sigma), phis, grid, T, dt)
+    return trajs[0] if single else trajs
 
 
 def linear_semigroup(params, phi, T: float, dt: float,
                      grid: GridSpec | None = None, sigma: float = 0.0):
-    """The solution semigroup with the nonlinearity switched off."""
-    from dataclasses import replace
+    """The solution semigroup with the nonlinearity switched off; phi is
+    one history or a list of them, as in `simulate_rde`."""
     stripped = replace(params, nonlinearity=NonlinearitySpec())
     if isinstance(params, RDEParams):
         return simulate_rde(stripped, phi, T, dt, grid)

@@ -215,17 +215,20 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
 
     Max of the observed ratio over random stable-part segments and sampled
     times, inflated by the safety factor.  Per-trial seeds make the result
-    independent of execution order.  Returns (K_fit, K_margin) and stores
-    them on a copy of the decomposition via `with_K`.
+    independent of execution order; the projected draws are integrated as
+    one batch.  Returns (K_fit, K_margin), which `with_K` stores on a copy
+    of the decomposition.  Raises ConfigError when trials < 1 or every draw
+    is skipped, rather than return K = 0.
     """
+    if trials < 1:
+        raise ConfigError(f"need at least one K trial, got trials={trials}")
     params = decomp.params
     if horizon is None:
         horizon = 5.0 * params.r
     if dt is None:
         dt = decomp.grid.spacing / max(
             1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
-    rho_m = decomp.rho_m
-    worst = 0.0
+    xs, nxs = [], []
     for i in range(trials):
         rng = np.random.default_rng(seed * 1_000_003 + i)
         # alternate rough and smooth histories so the fitted constant
@@ -239,10 +242,14 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
         nx = sup_norm(raw)
         if nx < 1e-12:
             continue
-        x = project(decomp, raw, "Q")
-        traj = linear_semigroup(params, x, horizon, dt, grid=decomp.grid)
-        ratios = traj.norms() * np.exp(-rho_m * traj.sample_times()) / nx
-        worst = max(worst, float(ratios.max()))
+        xs.append(project(decomp, raw, "Q"))
+        nxs.append(nx)
+    if not xs:
+        raise ConfigError(f"all {trials} K trials drew a zero history")
+    trajs = linear_semigroup(params, xs, horizon, dt, grid=decomp.grid)
+    decay = np.exp(-decomp.rho_m * trajs[0].sample_times())
+    worst = max(float((traj.norms() * decay / nx).max())
+                for traj, nx in zip(trajs, nxs))
     K_fit = safety * worst
     return K_fit, K_fit - worst
 

@@ -2,10 +2,14 @@ import csv
 import json
 import logging
 import os
+import pathlib
+import runpy
 
 import pytest
 
 from fdedim.cli import main
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run(argv, tmp_path, sub=""):
@@ -221,6 +225,15 @@ class TestChecksAndPipeline:
             for cell in row:
                 assert cell == "" or isinstance(float(cell), float)
 
+    @pytest.mark.parametrize("verb", [["pipeline"],
+                                      ["squeeze-check", "--t0", "1"]])
+    def test_zero_k_trials_exit_2(self, tmp_path, verb, capsys):
+        # zero trials is a usage error, not the default of 30
+        code, _ = run(verb + self.RDE + ["--T", "3", "--m", "1",
+                                         "--k-trials", "0"], tmp_path)
+        assert code == 2
+        assert "at least one K trial" in capsys.readouterr().err
+
     def test_pipeline_deterministic(self, tmp_path):
         argv = (["pipeline"] + self.RDE
                 + ["--T", "3", "--m", "1", "--k-trials", "4",
@@ -230,3 +243,9 @@ class TestChecksAndPipeline:
         for name in ("pipeline_report.json", "spectrum.csv",
                      "trajectory.csv", "bound_grid.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_rde_pipeline_script_runs(tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "run_rde_pipeline.py"))
+    assert script["main"](["--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "pipeline_report.json").exists()

@@ -762,3 +762,153 @@ class TestArrayChecksMatchPerSample:
         assert rep["rows"] == rows
         assert [(v["time"], v["part"]) for v in rep["violations"]] == \
             violations
+
+
+# ---------------------------------------------------------------------------
+# A list of histories integrates as one batch, member for member bitwise
+# equal to the single runs
+# ---------------------------------------------------------------------------
+
+def _batch_histories(grid, seed, size, callables):
+    """size histories on grid; member k is a callable when bit k of
+    callables is set, else a segment."""
+    return [_history_of(grid, seed + 7 * k, bool(callables >> k & 1))
+            for k in range(size)]
+
+
+def _assert_batch_is_singles(run, phis):
+    batch = run(phis)
+    assert isinstance(batch, list) and len(batch) == len(phis)
+    for phi, traj in zip(phis, batch):
+        single = run(phi)
+        assert np.array_equal(traj.times, single.times)
+        assert np.array_equal(traj.states, single.states)
+
+
+class TestBatchMatchesSingleRuns:
+    @given(size=st.integers(1, 5), callables=st.integers(0, 31),
+           b=st.sampled_from([0.0, 0.3]), num_modes=st.integers(1, 4),
+           kappa=tanh_gain, per_node=st.integers(1, 3),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_rde(self, size, callables, b, num_modes, kappa, per_node, seed):
+        params = RDEParams(a=1.0, b=b, r=0.5, num_modes=num_modes,
+                           nonlinearity=NonlinearitySpec(kind="tanh",
+                                                         kappa=kappa))
+        grid = rde_grid(params, 9)
+        dt = grid.spacing / per_node
+        T = round(1.3 / dt) * dt
+        _assert_batch_is_singles(
+            lambda phi: simulate_rde(params, phi, T, dt, grid=grid),
+            _batch_histories(grid, seed, size, callables))
+
+    @given(size=st.integers(1, 5), callables=st.integers(0, 31),
+           dim=st.integers(1, 3), with_zero=st.booleans(),
+           nl_kind=st.sampled_from(["zero", "tanh", "affine_tanh"]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_rfde_several_delays(self, size, callables, dim, with_zero,
+                                 nl_kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(delay_r=0.5, num_nodes=9, value_dim=dim,
+                        value_norm="euclidean")
+        dt = grid.spacing / 2.0
+        delays = ((0.0,) if with_zero else ()) + (2.37 * dt, 0.3, 0.5)
+        mats = tuple(rng.uniform(-1.0, 1.0, (dim, dim)) for _ in delays)
+        nl = (NonlinearitySpec() if nl_kind == "zero"
+              else NonlinearitySpec(kind=nl_kind, kappa=0.3,
+                                    offset=0.2 if nl_kind == "affine_tanh"
+                                    else 0.0))
+        params = RFDEParams(matrices=mats, delays=delays, r=0.5,
+                            nonlinearity=nl)
+        _assert_batch_is_singles(
+            lambda phi: simulate_rfde(params, phi, 0.0, 2.0, dt, grid=grid),
+            _batch_histories(grid, seed, size, callables))
+
+    @given(size=st.integers(1, 5), callables=st.integers(0, 31),
+           sigma=st.sampled_from([0.0, 0.7, 2.25]), c=st.floats(0.1, 1.0),
+           dim=st.integers(1, 2), num_nodes=st.sampled_from([9, 17]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_rfde_time_dependent_kernel(self, size, callables, sigma, c,
+                                        dim, num_nodes, seed):
+        # d = 1 with 9 or more past nodes is where a node sum over a
+        # contiguous axis would round differently for B = 1 than for B > 1
+        grid = GridSpec(delay_r=0.5, num_nodes=num_nodes, value_dim=dim,
+                        value_norm="euclidean")
+        M = np.array([[-1.0, 0.4], [0.2, -0.5]])[:dim, :dim]
+
+        def kern(t, th):
+            return c * math.exp(th) * (1.0 + 0.5 * math.sin(t)) * M
+
+        params = RFDEParams(matrices=(-0.5 * np.eye(dim), 0.3 * M),
+                            delays=(0.0, 0.25), r=0.5, kernel=kern,
+                            nonlinearity=NonlinearitySpec(kind="tanh",
+                                                          kappa=0.2))
+        dt = grid.spacing / 2.0
+        _assert_batch_is_singles(
+            lambda phi: simulate_rfde(params, phi, sigma, 1.5, dt,
+                                      grid=grid),
+            _batch_histories(grid, seed, size, callables))
+
+    @given(size=st.integers(2, 5), k=st.integers(0, 4),
+           growth=st.floats(1.0, 60.0), lag=st.sampled_from([0.0, 0.25]),
+           start=st.floats(10.0, 1e3))
+    @settings(max_examples=20, deadline=None)
+    def test_blow_up_names_member(self, size, k, growth, lag, start):
+        # member k starts 1e4 times higher than the rest, so it blows up
+        # first; the batch reports it at the time of its own single run
+        k = k % size
+        delays = (0.0,) if lag == 0.0 else (0.0, lag)
+        mats = (np.array([[growth]]),) + (
+            (np.array([[0.5]]),) if lag else ())
+        params = RFDEParams(matrices=mats, delays=delays, r=0.5)
+        grid = scalar_grid(r=0.5, n=9)
+        phis = [(lambda th, s=start if j == k else start * 1e-4: s)
+                for j in range(size)]
+        with pytest.raises(IntegrationError) as single:
+            simulate_rfde(params, phis[k], 0.0, 20.0, grid.spacing,
+                          grid=grid)
+        with pytest.raises(IntegrationError) as batch:
+            simulate_rfde(params, phis, 0.0, 20.0, grid.spacing, grid=grid)
+        assert str(single.value).startswith("blow-up at t=")
+        assert "history" not in str(single.value)
+        assert str(batch.value) == (f"{single.value} in history {k} "
+                                    f"of {size}")
+
+    def test_single_history_returns_trajectory(self):
+        params = RDEParams(a=1.0, b=0.3, r=1.0, num_modes=2)
+        grid = rde_grid(params, 9)
+        phi = _history_of(grid, 0, False)
+        single = simulate_rde(params, phi, 1.0, grid.spacing)
+        (one,) = simulate_rde(params, [phi], 1.0, grid.spacing)
+        pair = linear_semigroup(params, [phi, phi], 1.0, grid.spacing)
+        assert not isinstance(single, list)
+        assert np.array_equal(one.states, single.states)
+        assert len(pair) == 2
+
+    def test_mixed_grids_rejected(self):
+        params = RDEParams(a=1.0, b=0.3, r=1.0, num_modes=2)
+        g9, g17 = rde_grid(params, 9), rde_grid(params, 17)
+        mixed = [_history_of(g9, 0, False), _history_of(g17, 1, False)]
+        with pytest.raises(ShapeError):
+            simulate_rde(params, mixed, 1.0, g17.spacing)
+        with pytest.raises(ShapeError):
+            linear_semigroup(params, mixed[::-1], 1.0, g17.spacing)
+        rparams = RFDEParams(matrices=(-np.eye(1),), delays=(0.0,), r=1.0)
+        s9, s17 = scalar_grid(n=9), scalar_grid(n=17)
+        with pytest.raises(ShapeError):
+            simulate_rfde(rparams, [HistorySegment.zero(s9),
+                                    HistorySegment.zero(s17)],
+                          0.0, 1.0, s17.spacing)
+
+    def test_empty_batch_rejected(self):
+        params = RDEParams(a=1.0, b=0.3, r=1.0, num_modes=2)
+        grid = rde_grid(params, 9)
+        with pytest.raises(ConfigError):
+            simulate_rde(params, [], 1.0, grid.spacing, grid=grid)
+        with pytest.raises(ConfigError):
+            linear_semigroup(params, [], 1.0, grid.spacing, grid=grid)
+        rparams = RFDEParams(matrices=(-np.eye(1),), delays=(0.0,), r=1.0)
+        with pytest.raises(ConfigError):
+            simulate_rfde(rparams, [], 0.0, 1.0, 0.125, grid=scalar_grid())

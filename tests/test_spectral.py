@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdedim.charroots import CharRoot, SpectrumTable, ordered_spectrum
 from fdedim.core import (HistorySegment, random_segment,
                          random_smooth_segment, sup_norm)
 from fdedim.errors import (ConfigError, DegenerateRootError, ShapeError)
 from fdedim.sim import RDEParams, linear_semigroup, rde_grid
+from fdedim import spectral
 from fdedim.spectral import (build_decomposition, estimate_projection_norm,
                              fit_dichotomy_K, project,
                              projection_coefficients, with_K)
@@ -254,3 +257,54 @@ class TestDichotomyFit:
         assert s["K_fit"] == 6.0
         assert s["Lambda"] == delayed.Lambda
         assert s["rho_m_plus_1"] == delayed.rho_m1
+
+
+def _reference_fit_dichotomy_K(decomp, trials=50, horizon=None, dt=None,
+                               seed=0, safety=1.1):
+    """fit_dichotomy_K before the batched integration: one
+    linear_semigroup call per trial."""
+    params = decomp.params
+    if horizon is None:
+        horizon = 5.0 * params.r
+    if dt is None:
+        dt = decomp.grid.spacing / max(
+            1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
+    rho_m = decomp.rho_m
+    worst = 0.0
+    for i in range(trials):
+        rng = np.random.default_rng(seed * 1_000_003 + i)
+        draw = random_segment if i % 2 == 0 else random_smooth_segment
+        raw = draw(decomp.grid, rng)
+        nx = sup_norm(raw)
+        if nx < 1e-12:
+            continue
+        x = project(decomp, raw, "Q")
+        traj = linear_semigroup(params, x, horizon, dt, grid=decomp.grid)
+        ratios = traj.norms() * np.exp(-rho_m * traj.sample_times()) / nx
+        worst = max(worst, float(ratios.max()))
+    K_fit = safety * worst
+    return K_fit, K_fit - worst
+
+
+class TestBatchedFitMatchesPerTrialLoop:
+    @given(which=st.sampled_from(["delayed", "undelayed"]),
+           trials=st.integers(1, 12), seed=st.integers(0, 10_000),
+           horizon=st.sampled_from([None, 2.0, 3.5]),
+           safety=st.sampled_from([1.0, 1.1]))
+    @settings(max_examples=25, deadline=None)
+    def test_equal(self, request, which, trials, seed, horizon, safety):
+        decomp = request.getfixturevalue(which)
+        kw = dict(trials=trials, horizon=horizon, seed=seed, safety=safety)
+        assert fit_dichotomy_K(decomp, **kw) == \
+            _reference_fit_dichotomy_K(decomp, **kw)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, delayed, trials):
+        # a K = 0 would feed M2 = 0 into every bound
+        with pytest.raises(ConfigError, match="at least one K trial"):
+            fit_dichotomy_K(delayed, trials=trials)
+
+    def test_all_draws_skipped_rejected(self, delayed, monkeypatch):
+        monkeypatch.setattr(spectral, "sup_norm", lambda h: 0.0)
+        with pytest.raises(ConfigError, match="zero history"):
+            fit_dichotomy_K(delayed, trials=4)
