@@ -5,20 +5,31 @@ flattened history embedding (dimension num_nodes * value_dim).  Occupied
 boxes of side 2*eps are counted as the distinct rows of the integer cell
 array (a dense grid would be hopeless at this embedding dimension), and the
 dimension estimate is the least-squares slope of ln N_eps against -ln eps.
+
+Distinct rows are found by sorting one item per row.  When the product of
+the column radices (max - min + 1, exact in Python ints) is below 2**63,
+the item is the row's mixed-radix int64 code, and equal codes are equal
+rows; otherwise it is the row viewed as one opaque byte string.  Box
+counting in a few varying columns takes the code; the pipeline's samples
+(99 columns) and their 1e-9 duplicate keys take the byte strings.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import open_path_or_buf
 from .errors import ConfigError, DegenerateSampleError
 from .sim import Trajectory
 
 DUPLICATE_RESOLUTION = 1e-9
+# int64 holds the integers below this in magnitude, and row codes below it
+_INT64_LIMIT = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -43,23 +54,69 @@ class AttractorSample:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def frame(self) -> tuple:
+        """Read-only (origin, span) of the points, computed on first use:
+        the anchor and extent of every box grid, and the column ranges
+        whose largest is the sup-norm diameter."""
+        return _frame(self.points)
+
+
+def _row_items(keys: np.ndarray) -> np.ndarray:
+    """One sortable item per row of an (n, k) int64 array, k >= 1, equal
+    exactly for equal rows.
+
+    The item is the row's mixed-radix code, (keys - min) @ multipliers
+    with the first column most significant, when the product of the
+    column radices is below 2**63; otherwise it is the row viewed as one
+    opaque byte string.
+    """
+    lo = keys.min(axis=0)
+    multipliers = []
+    size = 1
+    for low, high in zip(reversed(lo.tolist()),
+                         reversed(keys.max(axis=0).tolist())):
+        multipliers.append(size)
+        size *= high - low + 1
+        if size >= _INT64_LIMIT:
+            keys = np.ascontiguousarray(keys)
+            rows = keys.view(np.dtype((np.void,
+                                       keys.itemsize * keys.shape[1])))
+            return rows.ravel()
+    return (keys - lo) @ np.array(multipliers[::-1], dtype=np.int64)
+
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     """Increasing indices of the first occurrence of each distinct row of an
-    (n, k) integer array, k >= 1.
+    (n, k) int64 array, k >= 1.
 
-    Each row is viewed as one opaque byte string, so a single 1-D unique
-    replaces the much slower row-wise ``np.unique(axis=0)``.
+    A single 1-D unique over `_row_items` (one int64 code per row when the
+    rows fit one word, else one byte string per row) replaces the much
+    slower row-wise ``np.unique(axis=0)``.
     """
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    _, idx = np.unique(rows.ravel(), return_index=True)
+    _, idx = np.unique(_row_items(keys), return_index=True)
     return np.sort(idx)
 
 
+def _num_distinct_rows(keys: np.ndarray) -> int:
+    """Number of distinct rows of an (n, k) int64 array, k >= 1."""
+    items = _row_items(keys)
+    if items.dtype != np.int64:
+        return len(np.unique(items))
+    # a sort and a neighbour compare: ~6x faster than np.unique on int64
+    # (4000 rows, numpy 2.4)
+    items.sort()
+    return int(np.count_nonzero(items[1:] != items[:-1])) + 1
+
+
 def _dedup(points: np.ndarray, resolution: float) -> np.ndarray:
-    keys = np.round(points / resolution).astype(np.int64)
-    return points[_distinct_rows(keys)]
+    scaled = np.round(points / resolution)
+    if not np.abs(scaled).max() < _INT64_LIMIT:
+        raise ConfigError(
+            f"duplicate resolution {resolution!r} is too fine for the "
+            f"largest coordinate {np.abs(points).max()!r}: keys overflow "
+            "int64")
+    return points[_distinct_rows(scaled.astype(np.int64))]
 
 
 def sample_attractor(simulate, initial_conditions, transient: float,
@@ -82,24 +139,26 @@ def sample_attractor(simulate, initial_conditions, transient: float,
         if k < 1 or abs(k * h - stride) > 1e-9 * stride:
             raise ConfigError(
                 f"stride {stride} must be a multiple of grid spacing {h}")
-        n = traj.grid.num_nodes
-        for t in traj.sample_times()[::k]:
-            if t < transient - 1e-12:
-                continue
-            seg = traj.segment(t)
-            pools.append(seg.values.ravel())
-    if not pools:
+        n, d = traj.grid.num_nodes, traj.grid.value_dim
+        # window j is the history segment at sample time j, as (d, n)
+        windows = sliding_window_view(traj.states, n, axis=0)[::k]
+        kept = traj.sample_times()[::k] >= transient - 1e-12
+        pools.append(windows[kept].transpose(0, 2, 1).reshape(-1, n * d))
+    if not sum(map(len, pools)):
         raise ConfigError("no post-transient samples collected")
-    pts = _dedup(np.array(pools), DUPLICATE_RESOLUTION)
+    pts = _dedup(np.concatenate(pools), DUPLICATE_RESOLUTION)
     return AttractorSample(points=pts, transient_dropped=float(transient),
                            source=dict(source or {}))
 
 
 def _frame(points: np.ndarray) -> tuple:
-    """Coordinate-wise minimum and span of a sample: the anchor and extent
-    of its box grids at every eps."""
+    """Coordinate-wise minimum and span of a sample, read-only: the anchor
+    and extent of its box grids at every eps."""
     origin = points.min(axis=0)
-    return origin, points.max(axis=0) - origin
+    span = points.max(axis=0) - origin
+    origin.setflags(write=False)
+    span.setflags(write=False)
+    return origin, span
 
 
 def _count_boxes(points: np.ndarray, origin: np.ndarray, span: np.ndarray,
@@ -109,13 +168,13 @@ def _count_boxes(points: np.ndarray, origin: np.ndarray, span: np.ndarray,
     varying = span > 0
     if not varying.any():
         return 1
-    if span.max() / (2.0 * eps) >= 2.0 ** 63:
+    if span.max() / (2.0 * eps) >= _INT64_LIMIT:
         raise ConfigError(
             f"eps {eps!r} is too small for the sample span {span.max()!r}: "
             "cell indices overflow int64")
     cells = np.floor((points[:, varying] - origin[varying])
                      / (2.0 * eps)).astype(np.int64)
-    return len(_distinct_rows(cells))
+    return _num_distinct_rows(cells)
 
 
 def box_count(points: np.ndarray, eps: float) -> int:
@@ -144,9 +203,7 @@ def box_counting_dim(sample: AttractorSample, eps_list,
         raise ConfigError("eps_list must be strictly decreasing")
     if math.log10(eps[0] / eps[-1]) < 1.5:
         raise ConfigError("eps_list must span at least 1.5 decades")
-    # box_count's anchor and span, computed once for all levels
-    frame = _frame(sample.points)
-    counts = [_count_boxes(sample.points, *frame, e) for e in eps]
+    counts = [_count_boxes(sample.points, *sample.frame, e) for e in eps]
     if len(set(counts)) < 2:
         if counts[0] == 1:
             # a single occupied cell at every scale: dimension 0 exactly
@@ -214,8 +271,7 @@ def diameter(sample: AttractorSample) -> float:
     diameter is the largest column range; rounded subtraction is monotone,
     so this equals the max over all pairs of the rounded distances.
     """
-    pts = sample.points
-    return float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    return float(np.max(sample.frame[1]))
 
 
 def counts_to_csv(result: dict, path_or_buf) -> None:

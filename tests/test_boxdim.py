@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fdedim.boxdim import (AttractorSample, _dedup, box_count,
+from fdedim.boxdim import (DUPLICATE_RESOLUTION, AttractorSample, _dedup,
+                           _distinct_rows, _num_distinct_rows, box_count,
                            box_counting_dim, counts_to_csv, diameter,
                            dyadic_eps, sample_attractor)
 from fdedim.core import (GridSpec, HistorySegment, random_smooth_segment,
                          write_json)
 from fdedim.errors import ConfigError, DegenerateSampleError
-from fdedim.sim import RDEParams, rde_grid, simulate_rde
+from fdedim.sim import RDEParams, Trajectory, rde_grid, simulate_rde
 
 
 def make_sample(points):
@@ -59,6 +60,26 @@ def diameter_reference(pts):
     return best
 
 
+def distinct_rows_reference(keys):
+    """First-occurrence indices through one void view per row."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, idx = np.unique(rows.ravel(), return_index=True)
+    return np.sort(idx)
+
+
+def sample_attractor_reference(trajectories, transient, stride):
+    """One Trajectory.segment call per kept sample time."""
+    pools = []
+    for traj in trajectories:
+        k = round(stride / traj.grid.spacing)
+        for t in traj.sample_times()[::k]:
+            if t < transient - 1e-12:
+                continue
+            pools.append(traj.segment(t).values.ravel())
+    return pools
+
+
 def dedup_reference(points, resolution):
     keys = np.round(points / resolution).astype(np.int64)
     _, idx = np.unique(keys, axis=0, return_index=True)
@@ -81,7 +102,44 @@ def point_clouds(draw):
     return pts
 
 
+@st.composite
+def key_arrays(draw):
+    """(n, k) int64 keys on both sides of the one-word code: up to 4
+    columns of radix 1..6, dense enough for rows that a wrong code would
+    merge, or up to 120 columns whose radices range from 1 (constant column)
+    to 2**62 + 1.  Rows repeat, and keys may be negative."""
+    narrow = draw(st.booleans())
+    k = draw(st.integers(1, 4 if narrow else 120))
+    widths = draw(st.lists(
+        st.integers(0, 5) if narrow
+        else st.sampled_from([0, 1, 2, 50, 2 ** 31, 2 ** 62]),
+        min_size=k, max_size=k))
+    lows = draw(hnp.arrays(np.int64, k,
+                           elements=st.integers(-2 ** 62, 2 ** 61)))
+    offsets = draw(hnp.arrays(np.int64, (draw(st.integers(1, 12)), k),
+                              elements=st.integers(0, 2 ** 62)))
+    pool = lows + offsets % (np.array(widths, dtype=np.int64) + 1)
+    rows = draw(hnp.arrays(np.int64, draw(st.integers(1, 40)),
+                           elements=st.integers(0, len(pool) - 1)))
+    return pool[rows]
+
+
 class TestArrayFormsMatchReference:
+    @given(key_arrays())
+    # n = 1; radices (7, (2**63 - 1) / 7), whose product 2**63 - 1 still
+    # takes the code; radices (1, 2**63), whose product takes the bytes
+    @example(np.array([[-3, 7]], dtype=np.int64))
+    @example(np.array([[0, 0], [6, (2 ** 63 - 1) // 7 - 1], [6, 0],
+                       [0, 0]], dtype=np.int64))
+    @example(np.array([[5, 0], [5, 2 ** 63 - 1], [5, 0]], dtype=np.int64))
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_rows(self, keys):
+        ref = distinct_rows_reference(keys)
+        got = _distinct_rows(keys)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        assert _num_distinct_rows(keys) == len(ref)
+
     @given(point_clouds(), st.floats(1e-3, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_box_count(self, pts, eps):
@@ -116,6 +174,46 @@ class TestArrayFormsMatchReference:
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
 
+    @given(point_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_frame_and_diameter_match_uncached(self, pts):
+        sample = make_sample(pts)
+        origin, span = sample.frame
+        assert np.array_equal(origin, pts.min(axis=0))
+        assert np.array_equal(span, pts.max(axis=0) - pts.min(axis=0))
+        assert not (origin.flags.writeable or span.flags.writeable)
+        assert sample.frame is sample.frame
+        ref = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        assert diameter(sample).hex() == ref.hex()
+
+    @given(st.integers(2, 9), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 60),
+           st.sampled_from([0.0, 1.3, 2.0, 7.5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sample_attractor_windows(self, num_nodes, value_dim, stride_k,
+                                      num_traj, steps, transient, data):
+        grid = GridSpec(delay_r=1.0, num_nodes=num_nodes,
+                        value_dim=value_dim)
+        times = np.concatenate([grid.nodes()[:-1],
+                                np.arange(steps + 1) * grid.spacing])
+        trajectories = [
+            Trajectory(grid, times, data.draw(hnp.arrays(
+                np.float64, (len(times), value_dim),
+                elements=st.floats(-5.0, 5.0))))
+            for _ in range(num_traj)]
+        stride = stride_k * grid.spacing
+        pools = sample_attractor_reference(trajectories, transient, stride)
+        if not pools:
+            with pytest.raises(ConfigError, match="no post-transient"):
+                sample_attractor(lambda tr: tr, trajectories, transient,
+                                 1.0, stride)
+            return
+        got = sample_attractor(lambda tr: tr, trajectories, transient, 1.0,
+                               stride)
+        ref = _dedup(np.array(pools), DUPLICATE_RESOLUTION)
+        assert got.points.shape == ref.shape
+        assert got.points.tobytes() == ref.tobytes()
+
 
 class TestBoxCount:
     def test_single_point(self):
@@ -140,6 +238,19 @@ class TestBoxCount:
         assert box_count(pts, 2.0 ** -63) == 3
         with pytest.raises(ConfigError, match="1e-20"):
             box_count(pts, 1e-20)
+        # the largest cell below 2**63: one column of radix 2**63 - 1023
+        big = np.array([[0.0], [2.0 ** 62 - 512], [2.0 ** 63 - 1024]])
+        assert box_count(big, 0.5) == 3
+        # two columns whose radix product crosses 2**63 count byte strings
+        wide = np.array([[0.0, 0.0], [2.0 ** 32, 2.0 ** 32],
+                         [1.0, 2.0 ** 32], [0.0, 0.0]])
+        assert box_count(wide, 0.5) == 3 == box_count_reference(wide, 0.5)
+
+    def test_dedup_key_overflow_rejected(self):
+        pts = np.array([[1e10], [2e10], [3e10]])
+        with pytest.raises(ConfigError, match=r"1e-09.*30000000000\.0"):
+            _dedup(pts, 1e-9)
+        assert len(_dedup(pts, 1e-6)) == 3
 
 
 class TestBoxCountingDim:
