@@ -61,6 +61,13 @@ class AttractorSample:
         whose largest is the sup-norm diameter."""
         return _frame(self.points)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Read-only offsets of the points from the origin in the varying
+        columns, computed on first use: the box coordinates that every eps
+        level of `box_counting_dim` divides."""
+        return _offsets(self.points, *self.frame)
+
 
 def _row_items(keys: np.ndarray) -> np.ndarray:
     """One sortable item per row of an (n, k) int64 array, k >= 1, equal
@@ -161,19 +168,27 @@ def _frame(points: np.ndarray) -> tuple:
     return origin, span
 
 
-def _count_boxes(points: np.ndarray, origin: np.ndarray, span: np.ndarray,
-                 eps: float) -> int:
+def _offsets(points: np.ndarray, origin: np.ndarray,
+             span: np.ndarray) -> np.ndarray:
+    """points - origin in the columns that vary (span > 0), read-only.
+    Constant columns put every point in cell 0 at every eps, so dropping
+    them leaves every count unchanged."""
+    varying = span > 0
+    offsets = points[:, varying] - origin[varying]
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _count_boxes(offsets: np.ndarray, span: np.ndarray, eps: float) -> int:
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    varying = span > 0
-    if not varying.any():
+    if not offsets.shape[1]:
         return 1
     if span.max() / (2.0 * eps) >= _INT64_LIMIT:
         raise ConfigError(
             f"eps {eps!r} is too small for the sample span {span.max()!r}: "
             "cell indices overflow int64")
-    cells = np.floor((points[:, varying] - origin[varying])
-                     / (2.0 * eps)).astype(np.int64)
+    cells = np.floor(offsets / (2.0 * eps)).astype(np.int64)
     return _num_distinct_rows(cells)
 
 
@@ -185,7 +200,8 @@ def box_count(points: np.ndarray, eps: float) -> int:
     dropped before counting, which leaves the count unchanged.
     """
     points = np.asarray(points, dtype=float)
-    return _count_boxes(points, *_frame(points), eps)
+    origin, span = _frame(points)
+    return _count_boxes(_offsets(points, origin, span), span, eps)
 
 
 def box_counting_dim(sample: AttractorSample, eps_list,
@@ -203,7 +219,7 @@ def box_counting_dim(sample: AttractorSample, eps_list,
         raise ConfigError("eps_list must be strictly decreasing")
     if math.log10(eps[0] / eps[-1]) < 1.5:
         raise ConfigError("eps_list must span at least 1.5 decades")
-    counts = [_count_boxes(sample.points, *sample.frame, e) for e in eps]
+    counts = [_count_boxes(sample.offsets, sample.frame[1], e) for e in eps]
     if len(set(counts)) < 2:
         if counts[0] == 1:
             # a single occupied cell at every scale: dimension 0 exactly
@@ -261,6 +277,8 @@ def dyadic_eps(eps_max: float, levels: int) -> list:
     exact for dyadic boxes sharing the same anchor)."""
     if levels < 1:
         raise ConfigError("levels must be >= 1")
+    if not eps_max > 0:
+        raise ConfigError(f"eps_max must be positive, got {eps_max!r}")
     return [eps_max / 2 ** k for k in range(levels + 1)]
 
 

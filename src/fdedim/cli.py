@@ -75,6 +75,12 @@ def _require(args, *names):
                         + ", ".join(n.replace('_', '-') for n in missing))
 
 
+def _or(value, default):
+    """value, or default when the flag was not given: an explicit 0 is a
+    value, not a missing flag."""
+    return default if value is None else value
+
+
 def _outdir(args):
     d = args.output_dir or "."
     os.makedirs(d, exist_ok=True)
@@ -96,6 +102,13 @@ def _rde_params(args) -> RDEParams:
     return RDEParams(a=float(args.a), b=float(args.b), r=float(args.r),
                      num_modes=int(args.num_modes),
                      nonlinearity=_nonlinearity(args))
+
+
+def _ic_scale(args) -> float:
+    scale = float(_or(args.ic_scale, 1.0))
+    if not scale > 0:
+        raise _CliError(f"ic-scale must be positive, got {scale!r}")
+    return scale
 
 
 def _initial_segment(grid, seed, scale):
@@ -176,8 +189,8 @@ def cmd_optimize(args):
 def cmd_simulate(args):
     params = _rde_params(args)
     _require(args, "T", "dt")
-    grid = rde_grid(params, int(args.num_nodes or 33))
-    phi = _initial_segment(grid, args.seed or 0, args.ic_scale or 1.0)
+    grid = rde_grid(params, int(_or(args.num_nodes, 33)))
+    phi = _initial_segment(grid, args.seed or 0, _ic_scale(args))
     traj = simulate_rde(params, phi, float(args.T), float(args.dt))
     out = _outdir(args)
     traj.to_csv(os.path.join(out, "trajectory.csv"))
@@ -196,18 +209,18 @@ def _decomposition_pipeline(args, params):
     """spectrum -> decomposition -> fitted K, shared by several verbs."""
     spec_args = argparse.Namespace(
         a=params.a, b=params.b, r=params.r,
-        max_mode=args.max_mode or params.num_modes,
+        max_mode=_or(args.max_mode, params.num_modes),
         floor=args.floor, paper_sign=bool(args.paper_sign))
     _require(spec_args, "floor")
     table = ordered_spectrum(params.a, params.b, params.r,
                              int(spec_args.max_mode), float(spec_args.floor),
                              paper_sign=spec_args.paper_sign)
-    m = int(args.m or 1)
-    grid = rde_grid(params, int(args.num_nodes or 33))
+    m = int(_or(args.m, 1))
+    grid = rde_grid(params, int(_or(args.num_nodes, 33)))
     decomp = build_decomposition(table, m, params, grid)
     K_fit, K_margin = fit_dichotomy_K(
         decomp, trials=30 if args.k_trials is None else int(args.k_trials),
-        horizon=float(args.k_horizon or 5.0 * params.r),
+        horizon=float(_or(args.k_horizon, 5.0 * params.r)),
         seed=int(args.seed or 0))
     return table, with_K(decomp, K_fit, K_margin), grid
 
@@ -220,8 +233,9 @@ def cmd_squeeze_check(args):
                           float(args.t0),
                           statement_m1=bool(args.statement_m1))
     rng = np.random.default_rng(int(args.seed or 0) + 1)
-    phi1 = random_smooth_segment(grid, rng, scale=float(args.ic_scale or 1.0))
-    phi2 = random_smooth_segment(grid, rng, scale=float(args.ic_scale or 1.0))
+    scale = _ic_scale(args)
+    phi1 = random_smooth_segment(grid, rng, scale=scale)
+    phi2 = random_smooth_segment(grid, rng, scale=scale)
     tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
                             float(args.dt))
     report = check_squeeze(tr1, tr2, decomp, sc)
@@ -241,8 +255,8 @@ def cmd_squeeze_check(args):
 def cmd_absorbing_check(args):
     params = _rde_params(args)
     _require(args, "T", "dt", "delta")
-    grid = rde_grid(params, int(args.num_nodes or 33))
-    phi = _initial_segment(grid, args.seed or 0, args.ic_scale or 1.0)
+    grid = rde_grid(params, int(_or(args.num_nodes, 33)))
+    phi = _initial_segment(grid, args.seed or 0, _ic_scale(args))
     traj = simulate_rde(params, phi, float(args.T), float(args.dt))
     delta = float(args.delta)
     c1 = params.c1()
@@ -276,19 +290,20 @@ def cmd_absorbing_check(args):
 def cmd_boxdim(args):
     params = _rde_params(args)
     _require(args, "T", "dt", "transient")
-    grid = rde_grid(params, int(args.num_nodes or 33))
-    n_ic = int(args.num_ic or 3)
-    ics = [_initial_segment(grid, (int(args.seed or 0)) * 7919 + i,
-                            args.ic_scale or 1.0) for i in range(n_ic)]
-    stride = grid.spacing * int(args.stride_nodes or 1)
+    grid = rde_grid(params, int(_or(args.num_nodes, 33)))
+    n_ic = int(_or(args.num_ic, 3))
+    scale = _ic_scale(args)
+    ics = [_initial_segment(grid, (int(args.seed or 0)) * 7919 + i, scale)
+           for i in range(n_ic)]
+    stride = grid.spacing * int(_or(args.stride_nodes, 1))
     sample = bx.sample_attractor(
         lambda phi: simulate_rde(params, phi, float(args.T), float(args.dt)),
         ics, transient=float(args.transient),
         horizon=float(args.T) - float(args.transient), stride=stride,
         source={"a": params.a, "b": params.b, "r": params.r})
     diam = bx.diameter(sample)
-    eps_max = float(args.eps_max or max(diam, 1e-6))
-    eps = bx.dyadic_eps(eps_max, int(args.eps_levels or 6))
+    eps_max = float(_or(args.eps_max, max(diam, 1e-6)))
+    eps = bx.dyadic_eps(eps_max, int(_or(args.eps_levels, 6)))
     try:
         result = bx.box_counting_dim(sample, eps)
     except bx.DegenerateSampleError as exc:
@@ -338,10 +353,10 @@ def cmd_pipeline(args):
         return bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
                                 t0, statement_m1=bool(args.statement_m1))
 
-    alpha_range = (float(args.alpha_min or 0.01),
-                   float(args.alpha_max or 1.99))
-    t0_range = (float(args.t0_min or 0.1 * params.r),
-                float(args.t0_max or 20.0 * params.r))
+    alpha_range = (float(_or(args.alpha_min, 0.01)),
+                   float(_or(args.alpha_max, 1.99)))
+    t0_range = (float(_or(args.t0_min, 0.1 * params.r)),
+                float(_or(args.t0_max, 20.0 * params.r)))
     opt_h = bd.optimize_bound(sc_of_t0, alpha_range, t0_range, "hausdorff")
     frac_alpha_hi = min(alpha_range[1],
                         0.999 * sc_of_t0(t0_range[0]).M1)
@@ -352,7 +367,7 @@ def cmd_pipeline(args):
                       os.path.join(out, "bound_grid.csv"))
 
     rng = np.random.default_rng(int(args.seed or 0) + 1)
-    scale = float(args.ic_scale or 1.0)
+    scale = _ic_scale(args)
     phi1 = random_smooth_segment(grid, rng, scale=scale)
     phi2 = random_smooth_segment(grid, rng, scale=scale)
     tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
@@ -364,7 +379,7 @@ def cmd_pipeline(args):
         squeeze = check_squeeze(tr1, tr2, decomp, sc)
         squeeze = {k: v for k, v in squeeze.items() if k != "rows"}
 
-    transient = float(args.transient or float(args.T) / 2.0)
+    transient = float(_or(args.transient, float(args.T) / 2.0))
     # the sample pools the pair already integrated above
     sample = bx.sample_attractor(
         lambda tr: tr, [tr1, tr2], transient=transient,

@@ -3,12 +3,15 @@
 Both systems are delay equations integrated by the method of steps.  Each
 model splits as y'(t) = L(t) y(t) + g(t), where only the forcing g reads
 the past, at positive lags.  Within a block of floor(min lag / dt) steps
-every delayed read lands in steps already resolved (or in the initial
-history), so one array call gives the forcing at all of the block's stage
-times, and only y_{k+1} = R y_k + c_k stays sequential.  The time step dt
-divides the history-grid spacing.  The integrator is classical RK4;
-off-step delayed values come from cubic Hermite interpolation of the
-stored (state, derivative) pairs, which preserves 4th order.  A list of
+(at most 64) every delayed read lands in steps already resolved (or in the
+initial history), so one array call gives the forcing at all of the
+block's stage times, and one product with the block's transfer operator,
+the discrete solution operator of its RK4 steps, gives all of its states.
+The operator of a constant L is built once and kept across calls.  The
+time step dt divides the history-grid spacing.  The integrator is
+classical RK4; off-step delayed values come from cubic Hermite
+interpolation of the stored (state, derivative) pairs, which preserves
+4th order.  A list of
 histories on one grid integrates as one batch: the state carries a batch
 axis, and every member is bitwise equal to its own single run.
 
@@ -21,6 +24,7 @@ Model classes:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -265,15 +269,68 @@ class _Split:
 
 def _rk4_affine(h, L1, L2, L3, y, g1, g2, g3):
     """One classical RK4 step of y' = L y + g with (L, g) at the step's
-    start, midpoint and end.  The step is affine in (y, g): with y the
-    identity and g = 0 it returns the step matrix R, with y = 0 the
-    forcing term c, so that y_{k+1} = R y_k + c_k.  Arrays broadcast as
-    matmul stacks: L (..., d, d), y and g (..., d, k)."""
+    start, midpoint and end.  The step is linear in (y, g1, g2, g3), so
+    applied to their identity it gives the step's matrices
+    (`_step_operator`).  Arrays broadcast as matmul stacks: L (..., d, d),
+    y and g (..., d, k)."""
     k1 = L1 @ y + g1
     k2 = L2 @ (y + h / 2 * k1) + g2
     k3 = L2 @ (y + h / 2 * k2) + g2
     k4 = L3 @ (y + h * k3) + g3
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+# A block solves at most _BLOCK_STEPS steps, over at most _BLOCK_WIDTH state
+# values, in one product with its transfer operator (~600 KB at d = 3)
+_BLOCK_STEPS = 64
+_BLOCK_WIDTH = 192
+
+
+def _step_operator(h, L1, L2, L3):
+    """[R | W1 | W2 | W3], (..., d, 4d): one RK4 step of y' = L y + g as
+    y_{k+1} = R y_k + W1 g_k + W2 g_{k+1/2} + W3 g_{k+1}, the step applied
+    to the identity of (y, g1, g2, g3)."""
+    d = L1.shape[-1]
+    return _rk4_affine(h, L1, L2, L3, *(np.eye(d, 4 * d, k * d)
+                                        for k in range(4)))
+
+
+def _transfer(S):
+    """The transfer operator TG of m steps with step operators S (m, d, 4d),
+    for row vectors: [y_0, g_0, ..., g_m, g_1/2, ..., g_{m-1/2}] @ TG =
+    [y_1, ..., y_m], the forcing at the block's stage times in their
+    node-then-midpoint order.  TG is ((2m + 2) d, m d).  Column block j
+    holds, transposed, the map from each input to y_{j+1}: R_j...R_0 from
+    y_0, R_j...R_{i+1} times step i's weight from the forcing of step
+    i <= j, and zero from the forcing of later steps.  It is the recurrence
+    run once on the identity.
+    """
+    m, d = S.shape[0], S.shape[1]
+    R, W1, W2, W3 = (S[..., k * d:(k + 1) * d].swapaxes(-1, -2)
+                     for k in range(4))
+    TG = np.empty(((2 * m + 2) * d, m * d))
+    Y = np.eye((2 * m + 2) * d, d)
+    node = d                      # first row of g_0; g_j starts at node + j d
+    mid = (m + 2) * d             # first row of g_1/2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            Y = Y @ R[j]
+            Y[node + j * d:node + (j + 1) * d] += W1[j]
+            Y[mid + j * d:mid + (j + 1) * d] += W2[j]
+            Y[node + (j + 1) * d:node + (j + 2) * d] += W3[j]
+            TG[:, j * d:(j + 1) * d] = Y
+    return TG
+
+
+@functools.lru_cache(maxsize=16)
+def _constant_transfer(L_bytes: bytes, d: int, dt: float, m: int):
+    """`_transfer` of m RK4 steps of y' = L y + g for a constant (d, d) L,
+    given as its float64 bytes; kept across calls, read-only."""
+    L = np.frombuffer(L_bytes).reshape(d, d)
+    S = _step_operator(dt, L, L, L)
+    TG = _transfer(np.broadcast_to(S, (m, d, 4 * d)))
+    TG.setflags(write=False)
+    return TG
 
 
 def _rowwise(x, M):
@@ -343,15 +400,19 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     for a batch of B histories on one grid.
 
     The state is a (steps + 1, B, d) array.  A block is
-    nb = floor(min lag / dt) steps (the whole run when nothing is delayed),
-    so every delayed read of a block lands in steps already resolved or in
-    the initial histories: the forcing of all its stage times, for the
-    whole batch, comes from one call through one vectorized lookup (cubic
-    Hermite on the stored (y, y') pairs for t >= 0, the history
-    interpolant for t < 0).  What stays sequential is y_{k+1} = R_k y_k + c_k,
-    for all B members at once.  Every member's trajectory is bitwise equal
-    to its own run as a batch of one.  phis: list of HistorySegment or
-    callable theta -> value vector on [-r, 0].
+    nb = floor(min lag / dt) steps, at most 64 and at most 192 / d (the
+    run is cut into such chunks when nothing is delayed), so every delayed
+    read of a block lands in steps already resolved or in the initial
+    histories: the forcing of all its stage times, for the whole batch,
+    comes from one call through one vectorized lookup (cubic Hermite on the
+    stored (y, y') pairs for t >= 0, the history interpolant for t < 0).
+    Each member's states then come from one vector-matrix product of its
+    row [y_0, forcing at the stage times] with the block's transfer
+    operator (`_transfer`), which starts from the last state of the block
+    before.  A constant L reuses the operator of `_constant_transfer`'s
+    memo; a time-dependent L builds one per block.  Every member's
+    trajectory is bitwise equal to its own run as a batch of one.  phis:
+    list of HistorySegment or callable theta -> value vector on [-r, 0].
     """
     r, d, B = grid.delay_r, grid.value_dim, len(phis)
     steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
@@ -363,12 +424,6 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     ys = np.zeros((n_steps + 1, B, d))
     dys = np.zeros((n_steps + 1, B, d))
     ys[0] = init[-1]
-    # the step's operand: a batch as a stack of (d, 1) columns, one history
-    # as a (d,) vector.  Both make one matrix-vector product per member, so
-    # every member rounds as in its own single run (one (B, d) @ (d, d)
-    # matrix-matrix product would not).  The stacked product costs a
-    # single-history run 2-5 % more, which shows in the ensemble's tail.
-    operand = (d,) if B == 1 else (B, d, 1)
 
     def lookup(taus):
         out = np.empty(taus.shape + (B, d))
@@ -386,41 +441,36 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     steps = np.arange(n_steps) * dt
     node_t = np.concatenate(([0.0], steps + dt))
     mid_t = steps + dt / 2
-    nb = n_steps
+    nb = min(n_steps, _BLOCK_STEPS, max(1, _BLOCK_WIDTH // d))
     if split.lags:
         nb = max(1, min(nb, math.floor(min(split.lags) / dt + 1e-12)))
     L = split.linear
-    eye = np.eye(d)
-    if not callable(L):
-        # the RK4 polynomial of dt L, built once
-        R_const = _rk4_affine(dt, L, L, L, eye, 0.0, 0.0, 0.0)
     for k0 in range(0, n_steps, nb):
         m = min(nb, n_steps - k0)
         stage_t = np.concatenate((node_t[k0:k0 + m + 1], mid_t[k0:k0 + m]))
-        g = np.empty((len(stage_t), B, d, 1))
+        # each member's row [y_0, g at the stage times], C-contiguous: a
+        # strided row would take another BLAS kernel than a single run's
+        rows = np.empty((B, 2 * m + 2, d))
+        rows[:, 0] = ys[k0]
+        g = rows[:, 1:].transpose(1, 0, 2)          # a (stages, B, d) view
         # broadcast: a system with nothing delayed has the forcing 0.0
-        g[..., 0] = split.forcing(stage_t, lookup)
-        g_node, g_mid = g[:m + 1], g[m + 1:]
+        g[...] = split.forcing(stage_t, lookup)
         if callable(L):
             # one (d, d) matrix per stage time, shared by the batch
-            Lt = L(stage_t)[:, None]
-            L_node, L_mid = Lt[:m + 1], Lt[m + 1:]
-            L_start, L_end = L_node[:-1], L_node[1:]
-            R = _rk4_affine(dt, L_start, L_mid, L_end, eye, 0.0, 0.0,
-                            0.0).reshape(m, d, d)
+            Lt = L(stage_t)
+            L_node = Lt[:m + 1, None]
+            TG = _transfer(_step_operator(dt, Lt[:m], Lt[m + 1:],
+                                          Lt[1:m + 1]))
         else:
-            L_node = L_mid = L_start = L_end = L
-            R = np.broadcast_to(R_const, (m, d, d))
-        c = _rk4_affine(dt, L_start, L_mid, L_end, np.zeros((m, B, d, 1)),
-                        g_node[:-1], g_mid, g_node[1:])
-        states = ys[k0:k0 + m + 1].reshape((m + 1,) + operand)  # a view
-        c = c.reshape((m,) + operand)
-        Y = states[0]
-        # past a blow-up the block may overflow; it is reported below
+            L_node = L
+            TG = _constant_transfer(L.tobytes(), d, dt, m)
+        # one vector-matrix product per member, so every member rounds as
+        # in its own single run (one (B, K) @ (K, N) matrix product would
+        # not: B = 1 takes another kernel); past a blow-up the block may
+        # overflow, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(m):
-                Y = R[j] @ Y + c[j]
-                states[j + 1] = Y
+            Y = rows.reshape(B, 1, -1) @ TG
+        ys[k0 + 1:k0 + m + 1] = Y.reshape(B, m, d).transpose(1, 0, 2)
         blk = ys[k0 + 1:k0 + m + 1]
         bad = ~np.isfinite(blk).all(axis=2) | (np.abs(blk).max(axis=2)
                                                 > BLOWUP_NORM)
@@ -430,8 +480,8 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
             which = f" in history {k} of {B}" if B > 1 else ""
             raise IntegrationError(
                 f"blow-up at t={(k0 + j) * dt + dt:.6g}{which}")
-        dys[k0:k0 + m + 1] = (L_node @ ys[k0:k0 + m + 1, ..., None]
-                              + g_node)[..., 0]
+        dys[k0:k0 + m + 1] = ((L_node @ ys[k0:k0 + m + 1, ..., None])[..., 0]
+                              + g[:m + 1])
 
     # assemble trajectories at history-grid spacing, prepending the history
     n_out = n_steps // steps_per_node

@@ -186,6 +186,16 @@ class TestArrayFormsMatchReference:
         ref = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
         assert diameter(sample).hex() == ref.hex()
 
+    @given(point_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_offsets_taken_once(self, pts):
+        sample = make_sample(pts)
+        varying = np.ptp(pts, axis=0) > 0
+        assert np.array_equal(sample.offsets,
+                              pts[:, varying] - pts.min(axis=0)[varying])
+        assert not sample.offsets.flags.writeable
+        assert sample.offsets is sample.offsets
+
     @given(st.integers(2, 9), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 60),
            st.sampled_from([0.0, 1.3, 2.0, 7.5]), st.data())

@@ -249,3 +249,58 @@ def test_run_rde_pipeline_script_runs(tmp_path):
     script = runpy.run_path(str(SCRIPTS / "run_rde_pipeline.py"))
     assert script["main"](["--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / "pipeline_report.json").exists()
+
+
+class TestExplicitZeroFlags:
+    """A flag given as 0 is that value, never the flag's default."""
+
+    PIPELINE = (["pipeline"] + TestChecksAndPipeline.RDE
+                + ["--T", "4", "--m", "1", "--k-trials", "4",
+                   "--nonlinearity", "tanh", "--kappa", "0.05"])
+    BOXDIM = ["boxdim", "--a", "3", "--b", "0.3", "--r", "0.2",
+              "--num-modes", "2", "--num-nodes", "17", "--T", "4",
+              "--dt", "0.00625", "--seed", "9"]
+
+    def test_pipeline_transient_zero_samples_from_start(self, tmp_path):
+        points = {}
+        for transient in ("0", "2"):
+            code, out = run(self.PIPELINE + ["--transient", transient],
+                            tmp_path, sub=f"t{transient}")
+            assert code == 0
+            rep = json.loads((out / "pipeline_report.json").read_text())
+            points[transient] = rep["attractor"]["num_points"]
+        # one sample per history node on [0, 4] against [2, 4], two histories
+        assert points == {"0": 2 * 129, "2": 2 * 65}
+
+    @pytest.mark.parametrize("flag", [
+        "--m", "--max-mode", "--num-nodes", "--alpha-min", "--alpha-max",
+        "--t0-min", "--t0-max", "--k-horizon", "--ic-scale"])
+    def test_pipeline_zero_rejected(self, tmp_path, flag, capsys):
+        argv = self.PIPELINE + ["--transient", "2"]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = "0"
+        else:
+            argv += [flag, "0"]
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "pipeline_report.json").exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--num-ic", "--stride-nodes", "--eps-levels", "--eps-max",
+        "--ic-scale", "--num-nodes"])
+    def test_boxdim_zero_rejected(self, tmp_path, flag):
+        argv = self.BOXDIM + ["--transient", "2"]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = "0"
+        else:
+            argv += [flag, "0"]
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert not (out / "boxdim.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--num-nodes", "--ic-scale"])
+    def test_simulate_zero_rejected(self, tmp_path, flag):
+        code, out = run(TestSimulate.ARGS + [flag, "0"], tmp_path)
+        assert code == 2
+        assert not (out / "trajectory.csv").exists()

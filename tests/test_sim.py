@@ -12,8 +12,10 @@ from fdedim.core import (GridSpec, HistorySegment, interpolate,
                          random_smooth_segment, sup_norm)
 from fdedim.errors import (ConfigError, DegeneratePairError,
                            IntegrationError, ShapeError)
+from fdedim import sim
 from fdedim.sim import (BLOWUP_NORM, NonlinearitySpec, RDEParams, RFDEParams,
-                        _check_steps, _simpson_weights, check_absorbing,
+                        _check_steps, _constant_transfer, _simpson_weights,
+                        _step_operator, _transfer, check_absorbing,
                         check_squeeze, linear_semigroup, rde_grid,
                         simulate_rde, simulate_rfde)
 from fdedim.spectral import build_decomposition, project
@@ -912,3 +914,145 @@ class TestBatchMatchesSingleRuns:
         rparams = RFDEParams(matrices=(-np.eye(1),), delays=(0.0,), r=1.0)
         with pytest.raises(ConfigError):
             simulate_rfde(rparams, [], 0.0, 1.0, 0.125, grid=scalar_grid())
+
+
+# ---------------------------------------------------------------------------
+# The block transfer operator against the per-step loop it replaces
+# ---------------------------------------------------------------------------
+
+def _ref_block(dt, L_start, L_mid, L_end, y0, g_node, g_mid):
+    """(B, m, d) states y_1..y_m of the replaced per-step loop: one
+    classical RK4 step of y' = L y + g at a time, member by member."""
+    out = []
+    for b, y in enumerate(y0):
+        states = []
+        for j in range(len(g_mid)):
+            k1 = L_start[j] @ y + g_node[j, b]
+            k2 = L_mid[j] @ (y + dt / 2 * k1) + g_mid[j, b]
+            k3 = L_mid[j] @ (y + dt / 2 * k2) + g_mid[j, b]
+            k4 = L_end[j] @ (y + dt * k3) + g_node[j + 1, b]
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(y)
+        out.append(states)
+    return np.array(out)
+
+
+def _linear_part(kind, dim, rng, rate):
+    """A constant (dim, dim) L: stable diagonal, dense, or dense plus rate I
+    (growth of about rate per unit time)."""
+    if kind == "diagonal":
+        return np.diag(-rng.uniform(0.5, 5.0, dim))
+    dense = rng.uniform(-1.0, 1.0, (dim, dim))
+    if kind == "dense":
+        return dense
+    return rate * np.eye(dim) + 0.2 * dense
+
+
+class TestTransferOperatorMatchesLoop:
+    @given(kind=st.sampled_from(["diagonal", "dense", "growing", "callable"]),
+           dim=st.integers(1, 3), m=st.integers(1, 64),
+           size=st.integers(1, 5), rate=st.floats(1.0, 60.0),
+           dt=st.sampled_from([1 / 128, 1 / 64, 1 / 32]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_block_solve(self, kind, dim, m, size, rate, dt, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "callable":
+            A, C = (rng.uniform(-1.0, 1.0, (dim, dim)) for _ in range(2))
+
+            def L(t):
+                return A + np.sin(3.0 * t)[:, None, None] * C
+
+            t = np.arange(m) * dt
+            L_start, L_mid, L_end = L(t), L(t + dt / 2), L(t + dt)
+            TG = _transfer(_step_operator(dt, L_start, L_mid, L_end))
+        else:
+            L0 = _linear_part(kind, dim, rng, rate)
+            L_start = L_mid = L_end = np.broadcast_to(L0, (m, dim, dim))
+            TG = _constant_transfer(L0.tobytes(), dim, dt, m)
+            assert TG is _constant_transfer(L0.tobytes(), dim, dt, m)
+            assert not TG.flags.writeable
+        assert TG.shape == ((2 * m + 2) * dim, m * dim)
+        y0 = rng.standard_normal((size, dim))
+        g_node = rng.standard_normal((m + 1, size, dim))
+        g_mid = rng.standard_normal((m, size, dim))
+        # the row layout the integrator builds: y_0, then g at the nodes,
+        # then g at the midpoints
+        rows = np.concatenate((y0[:, None], g_node.transpose(1, 0, 2),
+                               g_mid.transpose(1, 0, 2)), axis=1)
+        new = (rows.reshape(size, 1, -1) @ TG).reshape(size, m, dim)
+        ref = _ref_block(dt, L_start, L_mid, L_end, y0, g_node, g_mid)
+        _assert_close(new, ref, rel=1e-13)
+
+    @given(kind=st.sampled_from(["diagonal", "dense", "growing"]),
+           dim=st.integers(1, 3), steps=st.integers(1, 200),
+           size=st.integers(1, 5), callables=st.integers(0, 31),
+           rate=st.floats(1.0, 60.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_undelayed_chunks_chain(self, kind, dim, steps, size, callables,
+                                    rate, seed):
+        # nothing delayed: the run is cut into 64-step chunks, each started
+        # from the last state of the one before
+        grid = GridSpec(delay_r=0.5, num_nodes=33, value_dim=dim,
+                        value_norm="euclidean")
+        dt = grid.spacing
+        T = steps * dt
+        A = _linear_part(kind, dim, np.random.default_rng(seed),
+                         min(rate, 8.0 / T))
+        params = RFDEParams(matrices=(A,), delays=(0.0,), r=0.5)
+        phis = _batch_histories(grid, seed, size, callables)
+        batch = simulate_rfde(params, phis, 0.0, T, dt, grid=grid)
+        for phi, traj in zip(phis, batch):
+            ref = _ref_integrate(_ref_rfde_rhs(params, grid, 0.0), phi, grid,
+                                 T, dt)
+            _assert_close(traj.states, ref, rel=1e-13)
+
+    def test_long_undelayed_run_builds_one_chunk(self, monkeypatch):
+        # 4,096 steps at d = 3 in one undelayed run: no operator wider than
+        # one 64-step chunk is ever built
+        built = []
+
+        def recording(S):
+            TG = _transfer(S)
+            built.append(TG.nbytes)
+            return TG
+
+        monkeypatch.setattr(sim, "_transfer", recording)
+        _constant_transfer.cache_clear()
+        grid = GridSpec(delay_r=0.5, num_nodes=33, value_dim=3,
+                        value_norm="euclidean")
+        dt = grid.spacing / 2.0
+        A = -np.eye(3) + 0.3 * np.random.default_rng(7).uniform(-1, 1, (3, 3))
+        params = RFDEParams(matrices=(A,), delays=(0.0,), r=0.5)
+        phi = _history_of(grid, 7, False)
+        traj = simulate_rfde(params, phi, 0.0, 4096 * dt, dt, grid=grid)
+        _constant_transfer.cache_clear()
+        ref = _ref_integrate(_ref_rfde_rhs(params, grid, 0.0), phi, grid,
+                             4096 * dt, dt)
+        _assert_close(traj.states, ref, rel=1e-13)
+        assert built == [(2 * 64 + 2) * 3 * 64 * 3 * 8]
+
+    def test_wide_state_keeps_operator_narrow(self, monkeypatch):
+        # at d = 40 a block spans 192 // 40 = 4 steps, not 64
+        built = []
+
+        def recording(S):
+            TG = _transfer(S)
+            built.append(TG.shape)
+            return TG
+
+        monkeypatch.setattr(sim, "_transfer", recording)
+        _constant_transfer.cache_clear()
+        grid = GridSpec(delay_r=0.5, num_nodes=9, value_dim=40,
+                        value_norm="euclidean")
+        dt = grid.spacing / 2.0
+        rng = np.random.default_rng(11)
+        A = -np.eye(40) + 0.1 * rng.uniform(-1.0, 1.0, (40, 40))
+        params = RFDEParams(matrices=(A,), delays=(0.0,), r=0.5)
+        phi = _history_of(grid, 11, False)
+        traj = simulate_rfde(params, phi, 0.0, 1.0, dt, grid=grid)
+        _constant_transfer.cache_clear()
+        ref = _ref_integrate(_ref_rfde_rhs(params, grid, 0.0), phi, grid,
+                             1.0, dt)
+        _assert_close(traj.states, ref, rel=1e-13)
+        assert built == [((2 * 4 + 2) * 40, 4 * 40)]
