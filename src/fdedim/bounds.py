@@ -82,6 +82,10 @@ def fractal_bound(sc: SqueezeConstants, alpha: float):
     """(ln L + L ln(2 + 2 M1/alpha)) / (-ln zeta), or None when zeta >= 1."""
     if not 0.0 < alpha < sc.M1:
         raise DomainError(f"alpha must be in (0, M1={sc.M1}), got {alpha}")
+    return _fractal(sc, alpha)
+
+
+def _fractal(sc: SqueezeConstants, alpha: float):
     z = zeta(sc, alpha)
     if z >= 1.0:
         return None
@@ -95,20 +99,13 @@ def hausdorff_bound_alpha_free(sc: SqueezeConstants):
     (The printed autonomous display drops the M1 factor inside the log; the
     non-autonomous display and the derivation both keep it, so we keep it.)
     """
-    e = eta(sc, 2.0)
-    if e >= 1.0:
-        return None
-    L = sc.Lambda
-    return (-math.log(L) - L * math.log(4.0)) / math.log(e)
+    return hausdorff_bound(sc, 2.0)
 
 
 def fractal_bound_alpha_free(sc: SqueezeConstants):
-    """Limit form alpha -> M1: (ln L + L ln 4) / (-ln zeta(sc, M1))."""
-    z = zeta(sc, sc.M1)
-    if z >= 1.0:
-        return None
-    L = sc.Lambda
-    return (math.log(L) + L * math.log(4.0)) / (-math.log(z))
+    """Limit form alpha -> M1: (ln L + L ln 4) / (-ln zeta(sc, M1)), the
+    fractal formula at alpha = M1 (where 2 + 2 M1/alpha is exactly 4)."""
+    return _fractal(sc, sc.M1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ source material flips the n^2 sign, which `paper_sign=True` restores.
 """
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -24,50 +23,26 @@ from .errors import ConfigError, ContourError, DomainError, TruncationError
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-8
+MIN_BOX = 1e-7  # box diagonal below which bisection stops splitting
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch, by Halley iteration
+# Lambert W, principal branch (scipy.special.lambertw)
 # ---------------------------------------------------------------------------
 
 def lambert_w0(x: float) -> float:
-    """Principal real branch W0(x) for x >= -1/e, to ~1e-14 relative accuracy.
+    """Principal real branch W0(x) for x >= -1/e.
 
-    Halley iteration; initial guess from the branch-point series for small
-    arguments and the log asymptotic for large ones.
+    Arguments at or within 1e-15 below the branch point return W0(-1/e) = -1:
+    the float -1/math.e lies just below the true branch point, where scipy
+    returns nan.
     """
     x = float(x)
-    branch_point = -1.0 / math.e
-    if x < branch_point - 1e-15:
+    if x < -1.0 / math.e - 1e-15:
         raise DomainError(f"lambert_w0 argument {x} below -1/e")
-    if x < branch_point:
-        x = branch_point
-    if x == 0.0:
-        return 0.0
-    # initial guess
-    if x < -0.25:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x)  # series around 0
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1) if l1 > 1.0 else 0.0
-        w = l1 - l2
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
-        w_new = w - dw
-        if abs(w_new - w) <= 1e-15 * (abs(w_new) + 1e-300):
-            w = w_new
-            break
-        w = w_new
-    return w
+    if x <= -1.0 / math.e:
+        return -1.0
+    return float(scipy.special.lambertw(x).real)
 
 
 def _solve_w_plus_log(u: float) -> float:
@@ -83,6 +58,15 @@ def _solve_w_plus_log(u: float) -> float:
     return w
 
 
+def _w0_scaled(b: float, c: float, r: float) -> float:
+    """W0(|b| r e^{c r}); past log-argument 700, where e^{c r} would
+    overflow, it solves w + ln w = ln(|b| r) + c r instead."""
+    u_log = math.log(abs(b) * r) + c * r
+    if u_log > 700.0:
+        return _solve_w_plus_log(u_log)
+    return lambert_w0(abs(b) * r * math.exp(c * r))
+
+
 # ---------------------------------------------------------------------------
 # Characteristic function
 # ---------------------------------------------------------------------------
@@ -95,9 +79,8 @@ def char_deriv(lam, c: float, b: float, r: float):
     return 1.0 - b * r * np.exp(-lam * r)
 
 
-def residual_ok(lam: complex, c: float, b: float, r: float,
-                tol: float = RESIDUAL_TOL) -> bool:
-    return abs(char_value(lam, c, b, r)) < tol * (1.0 + abs(lam))
+def residual_ok(lam: complex, c: float, b: float, r: float) -> bool:
+    return abs(char_value(lam, c, b, r)) < RESIDUAL_TOL * (1.0 + abs(lam))
 
 
 @dataclass(frozen=True)
@@ -118,10 +101,9 @@ class CharRoot:
         return self.multiplicity * (2 if self.is_pair else 1)
 
 
-def _newton_polish(lam: complex, c: float, b: float, r: float,
-                   maxiter: int = 60) -> complex:
+def _newton_polish(lam: complex, c: float, b: float, r: float) -> complex:
     z = complex(lam)
-    for _ in range(maxiter):
+    for _ in range(60):
         f = char_value(z, c, b, r)
         df = char_deriv(z, c, b, r)
         if df == 0:
@@ -147,15 +129,11 @@ def real_rightmost_root(c: float, b: float, r: float):
         raise ConfigError("delay r must be positive")
     if b == 0.0:
         return -c
-    u_log = math.log(abs(b) * r) + c * r  # log |argument|
     if b < 0.0:
         # positive argument: W0 always defined
-        if u_log > 700.0:
-            w = _solve_w_plus_log(u_log)
-        else:
-            w = lambert_w0(abs(b) * r * math.exp(c * r))
-        return -c + w / r
+        return -c + _w0_scaled(b, c, r) / r
     # negative argument: exists iff -b r e^{cr} >= -1/e
+    u_log = math.log(b * r) + c * r  # log |argument|
     if u_log > -1.0 + 1e-14:
         if u_log > -1.0 + 1e-12:
             return None
@@ -170,12 +148,7 @@ def rightmost_real_part_bound(c: float, b: float, r: float) -> float:
     rho = -c + |b| e^{-rho r}, i.e. -c + W0(|b| r e^{c r}) / r."""
     if b == 0.0:
         return -c
-    u_log = math.log(abs(b) * r) + c * r
-    if u_log > 700.0:
-        w = _solve_w_plus_log(u_log)
-    else:
-        w = lambert_w0(abs(b) * r * math.exp(c * r))
-    return -c + w / r
+    return -c + _w0_scaled(b, c, r) / r
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +159,30 @@ class _NearSingular(Exception):
     pass
 
 
-def _winding_integral(c, b, r, box, samples_per_edge):
+def _phase_steps(c, b, r, box, samples_per_edge):
+    """Principal phase steps of D between consecutive samples of the
+    counter-clockwise box contour."""
     re0, re1, im0, im1 = box
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-    total = 0.0 + 0.0j
-    min_scaled = math.inf
-    for a0, a1 in zip(corners[:-1], corners[1:]):
-        t = np.linspace(0.0, 1.0, samples_per_edge + 1)
-        lam = a0 + (a1 - a0) * t
-        f = char_value(lam, c, b, r)
-        scaled = np.abs(f) / (1.0 + np.abs(lam))
-        min_scaled = min(min_scaled, float(scaled.min()))
-        if min_scaled < 1e-9:
-            raise _NearSingular
-        g = char_deriv(lam, c, b, r) / f
-        total += np.trapezoid(g, lam)
-    return total / (2.0j * math.pi), min_scaled
+    corners = np.array([complex(re0, im0), complex(re1, im0),
+                        complex(re1, im1), complex(re0, im1)])
+    t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
+    lam = (corners[:, None]
+           + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    lam = np.append(lam, lam[0])
+    f = char_value(lam, c, b, r)
+    if float((np.abs(f) / (1.0 + np.abs(lam))).min()) < 1e-9:
+        raise _NearSingular
+    return np.angle(f[1:] / f[:-1])
 
 
 def winding_number(c: float, b: float, r: float, box,
                    samples_per_edge: int | None = None) -> int:
-    """Number of roots inside the rectangle, by the argument principle."""
+    """Number of roots inside the rectangle, by the argument principle.
+
+    The winding is the sum of the principal phase steps of D around the
+    sampled contour over 2 pi.  The sampling doubles until every step is
+    below pi/2; a coarser step may have wrapped past pi.
+    """
     re0, re1, im0, im1 = box
     if not (re1 > re0 and im1 > im0):
         raise ConfigError(f"degenerate box {box}")
@@ -216,13 +191,12 @@ def winding_number(c: float, b: float, r: float, box,
         samples_per_edge = max(128, int(12.0 * extent * max(r, 1.0)) + 16)
     n = samples_per_edge
     for _ in range(8):
-        val, _ = _winding_integral(c, b, r, box, n)
-        k = round(val.real)
-        if abs(val - k) < 0.2 and abs(val.imag) < 0.2:
-            return int(k)
+        steps = _phase_steps(c, b, r, box, n)
+        if np.abs(steps).max() < math.pi / 2.0:
+            return round(float(steps.sum()) / (2.0 * math.pi))
         n *= 2
     raise ContourError(
-        f"winding integral did not converge to an integer on box {box}")
+        f"winding phase steps did not resolve on box {box}")
 
 
 def _winding_with_perturbation(c, b, r, box, max_attempts=5):
@@ -240,8 +214,8 @@ def _winding_with_perturbation(c, b, r, box, max_attempts=5):
                        f"of box {box}")
 
 
-def roots_in_box(c: float, b: float, r: float, box, mode: int = 0,
-                 min_box: float = 1e-7) -> list[CharRoot]:
+def roots_in_box(c: float, b: float, r: float, box,
+                 mode: int = 0) -> list[CharRoot]:
     """All roots inside the rectangle box = (re_min, re_max, im_min, im_max).
 
     The count from the argument-principle winding number drives a recursive
@@ -259,41 +233,31 @@ def roots_in_box(c: float, b: float, r: float, box, mode: int = 0,
             return
         re0, re1, im0, im1 = bx
         diag = math.hypot(re1 - re0, im1 - im0)
-        if n_roots == 1 or diag < min_box:
+        if n_roots == 1 or diag < MIN_BOX:
             z0 = complex((re0 + re1) / 2.0, (im0 + im1) / 2.0)
             z = _newton_polish(z0, c, b, r)
             inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9
                       and im0 - 1e-9 <= z.imag <= im1 + 1e-9)
-            if residual_ok(z, c, b, r) and (inside or diag < min_box):
+            if residual_ok(z, c, b, r) and (inside or diag < MIN_BOX):
                 found.extend([z] * n_roots)
                 return
-            if diag < min_box:
+            if diag < MIN_BOX:
                 raise ContourError(f"failed to isolate root in box {bx}")
         # split the longer side, nudging the cut off any root
-        if (re1 - re0) >= (im1 - im0):
-            for frac in (0.5, 0.46, 0.54, 0.42, 0.58):
-                cut = re0 + frac * (re1 - re0)
-                try:
-                    n_lo, b_lo = _winding_with_perturbation(
-                        c, b, r, (re0, cut, im0, im1), max_attempts=2)
-                except ContourError:
-                    continue
-                n_hi = n_roots - n_lo
-                recurse(b_lo, n_lo)
-                recurse((cut, re1, im0, im1), n_hi)
-                return
-        else:
-            for frac in (0.5, 0.46, 0.54, 0.42, 0.58):
-                cut = im0 + frac * (im1 - im0)
-                try:
-                    n_lo, b_lo = _winding_with_perturbation(
-                        c, b, r, (re0, re1, im0, cut), max_attempts=2)
-                except ContourError:
-                    continue
-                n_hi = n_roots - n_lo
-                recurse(b_lo, n_lo)
-                recurse((re0, re1, cut, im1), n_hi)
-                return
+        axis = 0 if (re1 - re0) >= (im1 - im0) else 2
+        lo, hi = bx[axis], bx[axis + 1]
+        for frac in (0.5, 0.46, 0.54, 0.42, 0.58):
+            cut = lo + frac * (hi - lo)
+            lower, upper = list(bx), list(bx)
+            lower[axis + 1] = upper[axis] = cut
+            try:
+                n_lo, b_lo = _winding_with_perturbation(
+                    c, b, r, tuple(lower), max_attempts=2)
+            except ContourError:
+                continue
+            recurse(b_lo, n_lo)
+            recurse(tuple(upper), n_roots - n_lo)
+            return
         raise ContourError(f"could not split box {bx} cleanly")
 
     recurse(box, count)
@@ -360,7 +324,7 @@ def _branch_roots(c: float, b: float, r: float, floor: float) -> list[complex]:
 
 
 def mode_roots(a: float, b: float, r: float, n: int, floor: float,
-               paper_sign: bool = False, verify: bool = True) -> list[CharRoot]:
+               paper_sign: bool = False) -> list[CharRoot]:
     """All characteristic roots of mode n with Re >= floor."""
     if not r > 0:
         raise ConfigError("delay r must be positive")
@@ -374,7 +338,7 @@ def mode_roots(a: float, b: float, r: float, n: int, floor: float,
         raise ConfigError(f"mode {n}: characteristic argument overflow")
     roots = _branch_roots(c, b, r, floor)
     out = _canonicalize(roots, n)
-    if verify and out:
+    if out:
         total = sum(cr.real_dimension for cr in out)
         im_max = max(abs(cr.value.imag) for cr in out)
         re_up = rightmost_real_part_bound(c, b, r) + 0.5
@@ -443,8 +407,7 @@ class SpectrumTable:
 
 
 def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
-                     floor: float, paper_sign: bool = False,
-                     verify: bool = True) -> SpectrumTable:
+                     floor: float, paper_sign: bool = False) -> SpectrumTable:
     """Merged descending spectrum over modes 1..max_mode above the floor.
 
     Coverage precondition: every mode beyond max_mode must have all of its
@@ -462,8 +425,7 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
                 f"(rightmost bound {bound_next:.6g})", mode=max_mode + 1)
     all_roots: list[CharRoot] = []
     for n in range(1, max_mode + 1):
-        all_roots.extend(mode_roots(a, b, r, n, floor,
-                                    paper_sign=paper_sign, verify=verify))
+        all_roots.extend(mode_roots(a, b, r, n, floor, paper_sign=paper_sign))
     if not all_roots:
         raise TruncationError("no roots above the floor", mode=None)
     groups: list[list[CharRoot]] = []

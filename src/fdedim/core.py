@@ -234,14 +234,14 @@ def random_segment(grid: GridSpec, rng: np.random.Generator,
 
 
 def random_smooth_segment(grid: GridSpec, rng: np.random.Generator,
-                          scale: float = 1.0,
-                          num_terms: int = 4) -> HistorySegment:
-    """Random low-frequency Fourier history; smooth enough that cubic
+                          scale: float = 1.0) -> HistorySegment:
+    """Random low-frequency Fourier history (frequencies 0..3 half-waves
+    per delay, amplitudes decaying as 1/(1 + k^2)); smooth enough that cubic
     interpolation between nodes is accurate (needed when segments feed the
     integrator, whose delayed lookups interpolate the history)."""
     th = grid.nodes() / grid.delay_r  # in [-1, 0]
     vals = np.zeros((grid.num_nodes, grid.value_dim))
-    for k in range(num_terms):
+    for k in range(4):
         amp_c = rng.standard_normal(grid.value_dim) / (1 + k * k)
         amp_s = rng.standard_normal(grid.value_dim) / (1 + k * k)
         vals += np.outer(np.cos(math.pi * k * th), amp_c)

@@ -218,22 +218,19 @@ class Trajectory:
         node_norms = self.grid.value_space_norm(self.states)
         return sliding_window_view(node_norms, self.grid.num_nodes).max(axis=1)
 
-    def to_csv(self, path_or_buf, extra_columns: dict | None = None) -> None:
+    def to_csv(self, path_or_buf) -> None:
         """Rows: time, segment sup-norm, leading state coordinates."""
         lead = min(4, self.grid.value_dim)
-        extra = extra_columns or {}
         with open_path_or_buf(path_or_buf, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["time", "sup_norm"]
-                       + [f"y{k + 1}" for k in range(lead)]
-                       + list(extra))
+                       + [f"y{k + 1}" for k in range(lead)])
             ts = self.sample_times()
             sn = self.norms()
             rows = self.states[self.grid.num_nodes - 1:]
-            for k, (t, nn, row) in enumerate(zip(ts, sn, rows)):
+            for t, nn, row in zip(ts, sn, rows):
                 w.writerow([repr(float(t)), repr(float(nn))]
-                           + [repr(float(x)) for x in row[:lead]]
-                           + [repr(float(col[k])) for col in extra.values()])
+                           + [repr(float(x)) for x in row[:lead]])
 
 
 # ---------------------------------------------------------------------------

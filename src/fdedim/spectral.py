@@ -209,8 +209,8 @@ def estimate_projection_norm(decomp: SpectralDecomposition) -> float:
 
 
 def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
-                    horizon: float | None = None, dt: float | None = None,
-                    seed: int = 0, safety: float = 1.1):
+                    horizon: float | None = None, seed: int = 0,
+                    safety: float = 1.1):
     """Fit K of the stable-part decay bound  |U(t) Q x| <= K e^{rho_m t} |x|.
 
     Max of the observed ratio over random stable-part segments and sampled
@@ -225,9 +225,8 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
     params = decomp.params
     if horizon is None:
         horizon = 5.0 * params.r
-    if dt is None:
-        dt = decomp.grid.spacing / max(
-            1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
+    dt = decomp.grid.spacing / max(
+        1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
     xs, nxs = [], []
     for i in range(trials):
         rng = np.random.default_rng(seed * 1_000_003 + i)

@@ -112,11 +112,15 @@ class TestAlphaFreeLimits:
         c = sc(M1=0.1, M2=0.05, M3=0.02, l0=-0.5, l1=-1.0)
         limit = hausdorff_bound(c, 2.0 - 1e-10)
         assert hausdorff_bound_alpha_free(c) == pytest.approx(limit, abs=1e-9)
+        assert hausdorff_bound_alpha_free(c) == hausdorff_bound(c, 2.0)
 
     def test_fractal_limit_agrees(self):
         c = sc(M1=0.4, M2=0.05, M3=0.02, l0=-0.5, l1=-1.0)
         limit = fractal_bound(c, c.M1 * (1.0 - 1e-12))
         assert fractal_bound_alpha_free(c) == pytest.approx(limit, abs=1e-9)
+        L = c.Lambda
+        assert fractal_bound_alpha_free(c) == \
+            (math.log(L) + L * math.log(4.0)) / -math.log(zeta(c, c.M1))
 
     def test_fractal_near_limit_example(self):
         # M1 = alpha (1 + 1e-12): log factor collapses to ln 4

@@ -27,6 +27,11 @@ class TestLambertW0:
         with pytest.raises(DomainError):
             lambert_w0(-0.5)
 
+    def test_branch_point_float_clamped(self):
+        # the float -1/e lies just below the true branch point, where
+        # scipy's lambertw returns nan
+        assert lambert_w0(-1.0 / math.e) == -1.0
+
     @given(st.floats(min_value=-0.36, max_value=1e6))
     @settings(max_examples=200, deadline=None)
     def test_defining_identity(self, x):
@@ -73,6 +78,12 @@ class TestRealRightmostRoot:
             assert root == pytest.approx(oracle, abs=1e-10)
             tested += 1
 
+    @pytest.mark.parametrize("c, b, r", [(0.0, -1.0, 1.0), (2.0, -0.3, 0.7),
+                                         (-1.5, -2.5, 1.9), (720.0, -1.0, 1.0)])
+    def test_equals_rightmost_bound_for_negative_b(self, c, b, r):
+        # both go through one W0 path, so they agree bitwise
+        assert real_rightmost_root(c, b, r) == rightmost_real_part_bound(c, b, r)
+
     def test_dominates_roots_in_box(self):
         c, b, r = 0.0, -1.0, 1.0
         top = real_rightmost_root(c, b, r)
@@ -97,6 +108,18 @@ class TestRootsInBox:
         lam = roots[0].value
         assert lam.imag == pytest.approx(math.pi / 2.0, abs=1e-10)
         assert abs(char_value(lam, 0.0, math.pi / 2.0, 1.0)) < 1e-10
+
+    def test_root_near_left_edge_counted_once(self):
+        # the root -4.4897 + 26.72i lies 0.010 inside the left edge, closer
+        # than the initial contour sample step of 0.08
+        box = (-4.5, -1.7247232693199388,
+               -31.864225332644537, 31.864225332644537)
+        assert winding_number(5.0, 0.3, 1.0, box) == 10
+        roots = roots_in_box(5.0, 0.3, 1.0, box)
+        assert sum(cr.real_dimension for cr in roots) == 10
+        for cr in roots:
+            assert box[0] <= cr.value.real <= box[1]
+            assert abs(cr.value.imag) <= box[3]
 
     def test_residual_invariant(self):
         for root in roots_in_box(1.0, 0.7, 1.3, (-5.0, 2.0, -15.0, 15.0)):
@@ -213,6 +236,16 @@ class TestSpectrumTableInvariants:
         with pytest.raises(ConfigError):
             SpectrumTable(rhos=(-1.0, -2.0), multiplicities=(1, 2),
                           cumulative=(1, 2), truncation=(1, -5.0))
+
+
+def test_rightmost_bound_continuous_across_overflow_switch():
+    # log-argument c r + ln(|b| r) crosses 700 at c = 700 (b = -1, r = 1)
+    vals = [rightmost_real_part_bound(c, -1.0, 1.0)
+            for c in (699.999, 700.0, 700.001)]
+    assert vals == pytest.approx([-6.541690, -6.541691, -6.541693], abs=5e-7)
+    # equal steps on either side of the switch: no jump at c = 700
+    assert vals[1] - vals[2] == pytest.approx(vals[0] - vals[1], rel=1e-3)
+    assert vals[0] > vals[1] > vals[2]
 
 
 def test_rightmost_bound_dominates_all_roots():

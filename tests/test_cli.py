@@ -27,6 +27,15 @@ class TestRoots:
         assert lines[0] == "rho,multiplicity,k_cumulative"
         assert lines[1:] == ["-2.0,1,1", "-5.0,1,2", "-10.0,1,3"]
 
+    def test_root_near_winding_box_edge(self, tmp_path):
+        # a mode-2 root lies 0.010 inside the left edge of its winding
+        # check box, closer than the initial contour sample step
+        code, out = run(["roots", "--a", "1", "--b", "0.3", "--r", "1",
+                         "--max-mode", "6", "--floor", "-4.5"], tmp_path)
+        assert code == 0
+        data = json.loads((out / "spectrum.json").read_text())
+        assert len(data["rhos"]) == 21
+
     def test_missing_flag_exit_2(self, tmp_path):
         code, _ = run(["roots", "--a", "1", "--b", "0", "--r", "1"],
                       tmp_path)

@@ -259,16 +259,15 @@ class TestDichotomyFit:
         assert s["rho_m_plus_1"] == delayed.rho_m1
 
 
-def _reference_fit_dichotomy_K(decomp, trials=50, horizon=None, dt=None,
-                               seed=0, safety=1.1):
+def _reference_fit_dichotomy_K(decomp, trials=50, horizon=None, seed=0,
+                               safety=1.1):
     """fit_dichotomy_K before the batched integration: one
     linear_semigroup call per trial."""
     params = decomp.params
     if horizon is None:
         horizon = 5.0 * params.r
-    if dt is None:
-        dt = decomp.grid.spacing / max(
-            1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
+    dt = decomp.grid.spacing / max(
+        1, int(math.ceil(decomp.grid.spacing / (params.r / 64.0))))
     rho_m = decomp.rho_m
     worst = 0.0
     for i in range(trials):
