@@ -181,13 +181,10 @@ def rde_m1(spectrum: SpectrumTable, m: int, L_f: float) -> float:
     Assumption: ||w(s)|| <= e^{l0 s} ||w_0||, the growth bound M3 also rests
     on; then the integral is at most L_f e^{l0 t} / (l0 - Re lam).
 
-    Needs the table's root data (groups) and its b, r (params).  Memoised on
-    the table per (m, L_f): the optimizer's golden-section refinement calls
-    rde_constants hundreds of times with the same three.
+    Needs the table's root data (groups) and its b, r (params).  It does
+    not depend on t0, so one rde_constants call serves a whole (alpha, t0)
+    optimization through dataclasses.replace.
     """
-    key = ("rde_m1", m, L_f)
-    if key in spectrum.derived:
-        return spectrum.derived[key]
     if len(spectrum.groups) < m or not {"b", "r"} <= spectrum.params.keys():
         raise ConfigError("certified M1 needs the table's roots, b and r")
     b, r = spectrum.params["b"], spectrum.params["r"]
@@ -206,7 +203,6 @@ def rde_m1(spectrum: SpectrumTable, m: int, L_f: float) -> float:
             dchar = abs(1.0 - b * r * cmath.exp(-lam * r))
             M1 += ((2.0 if root.is_pair else 1.0) * max(1.0, math.exp(-re * r))
                    * (pairing + forcing) / dchar)
-    spectrum.derived[key] = M1
     return M1
 
 
@@ -348,79 +344,61 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
     return c if fc <= fd else d
 
 
-def _scan_grid(sc_of_t0, alphas: np.ndarray, t0s: np.ndarray, target: str):
-    """Contraction and bound over the (t0, alpha) grid, one row per t0.
+def _scan_grid(sc: SqueezeConstants, alphas: np.ndarray, t0s: np.ndarray,
+               target: str):
+    """Contraction and bound over the (t0, alpha) grid of the constants sc
+    with their t0 replaced by each grid t0, one row per t0.
 
-    Returns (t0_rows, contraction, in_range, bound).  Rows are the t0s at
-    which sc_of_t0 succeeds (the rows where it raises ConfigError or
-    DomainError are dropped), as Python floats.  contraction is eta
-    (target "hausdorff") or zeta (any other target) at every alpha of the
-    row; in_range marks 0 < alpha < 2 (hausdorff) or 0 < alpha < M1
-    (fractal); bound is hausdorff_bound or fractal_bound on the in-range
-    cells with contraction < 1 and NaN elsewhere.
+    Returns (contraction, in_range, bound).  contraction is eta (target
+    "hausdorff") or zeta (any other target) at every cell; in_range marks
+    the alphas with 0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal);
+    bound is hausdorff_bound or fractal_bound on the in-range cells with
+    contraction < 1 and NaN elsewhere.
 
-    Every value is bitwise equal to the scalar functions: sc_of_t0 is called
-    once per row, e^{l0 t0} and e^{l1 t0} come from math.exp once per row,
-    the contraction is one array expression in eta/zeta's operation order,
-    and math.log is taken of the contraction on the feasible cells only
-    (np.log may differ from math.log in the last ulp).  The alpha-only log
-    terms are taken once per (Lambda, M1).
+    Every value is bitwise equal to the scalar functions at
+    replace(sc, t0=t0): e^{l0 t0} and e^{l1 t0} come from math.exp once per
+    row, the contraction is one array expression in eta/zeta's operation
+    order, and math.log is taken of the contraction on the feasible cells
+    only (np.log may differ from math.log in the last ulp).  The alpha-only
+    log terms are taken once.
     """
     hausdorff = target == "hausdorff"
-    t0_rows, rows = [], []
-    for t0 in t0s.tolist():
-        try:
-            rows.append(sc_of_t0(t0))
-        except (ConfigError, DomainError):
-            continue
-        t0_rows.append(t0)
-    e0 = np.array([math.exp(sc.lambda0 * sc.t0) for sc in rows])[:, None]
-    e1 = np.array([math.exp(sc.lambda1 * sc.t0) for sc in rows])[:, None]
-    M1, M2, M3 = (np.array([getattr(sc, name) for sc in rows])[:, None]
-                  for name in ("M1", "M2", "M3"))
+    t0_list = t0s.tolist()
+    e0 = np.array([math.exp(sc.lambda0 * t0) for t0 in t0_list])[:, None]
+    e1 = np.array([math.exp(sc.lambda1 * t0) for t0 in t0_list])[:, None]
     a = alphas[None, :]
     # eta/zeta's float arithmetic overflows to inf silently; so does this
     with np.errstate(over="ignore"):
         if hausdorff:
-            contraction = a * M1 * e0 + 2.0 * M2 * e1 + 2.0 * M3 * e0
+            contraction = a * sc.M1 * e0 + 2.0 * sc.M2 * e1 + 2.0 * sc.M3 * e0
         else:
-            contraction = a * e0 + M2 * e1 + M3 * e0
-    upper = 2.0 if hausdorff else M1
-    in_range = np.broadcast_to((a > 0.0) & (a < upper), contraction.shape)
+            contraction = a * e0 + sc.M2 * e1 + sc.M3 * e0
+    in_range = (alphas > 0.0) & (alphas < (2.0 if hausdorff else sc.M1))
     feasible = in_range & (contraction < 1.0)
-    alpha_list = alphas.tolist()
-    numerators = {}
-    bound = []
-    for sc, crow, rrow, frow in zip(rows, contraction.tolist(),
-                                    in_range.tolist(), feasible.tolist()):
-        L = sc.Lambda
-        key = (L, None if hausdorff else sc.M1)
-        num = numerators.get(key)
-        if num is None:
-            # the fractal numerator is negated so that both bounds are
-            # num / ln(contraction); negation is exact in IEEE arithmetic
-            num = numerators[key] = [
-                (-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
-                 else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
-                if r else None for x, r in zip(alpha_list, rrow)]
-        bound.append([n / math.log(c) if f else math.nan
-                      for n, c, f in zip(num, crow, frow)])
-    return (t0_rows, contraction, in_range,
-            np.array(bound).reshape(contraction.shape))
+    L = sc.Lambda
+    # the fractal numerator is negated so that both bounds are
+    # num / ln(contraction); negation is exact in IEEE arithmetic
+    num = [(-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
+            else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
+           if r else None
+           for x, r in zip(alphas.tolist(), in_range.tolist())]
+    bound = [[n / math.log(c) if f else math.nan
+              for n, c, f in zip(num, crow, frow)]
+             for crow, frow in zip(contraction.tolist(), feasible.tolist())]
+    return contraction, in_range, np.array(bound).reshape(contraction.shape)
 
 
-def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
-                   grid: int = 64) -> OptimizeResult:
-    """Minimize the chosen bound over (alpha, t0).
+def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
+                   target: str = "hausdorff", grid: int = 64) -> OptimizeResult:
+    """Minimize the chosen bound over (alpha, t0) for the constants sc, of
+    which only t0 varies (sc's own t0 is not used).
 
-    sc_of_t0: callable t0 -> SqueezeConstants (the application constants
-    depend on t0); alpha_range/t0_range: (lo, hi) intervals.  A grid x grid
-    array scan (`_scan_grid`), then coordinate-wise golden-section
-    refinement to 1e-6 with the scalar bound.  Only cells with 0 < alpha < 2
-    (hausdorff) or 0 < alpha < M1 (fractal) count toward the argmin and
-    toward min_contraction, and only those with contraction < 1 toward the
-    argmin; t0s where sc_of_t0 raises ConfigError or DomainError count
-    toward neither.  Returns a structured infeasibility report (never an
+    alpha_range/t0_range: (lo, hi) intervals.  A grid x grid array scan
+    (`_scan_grid`), then coordinate-wise golden-section refinement to 1e-6
+    with the scalar bound at replace(sc, t0=t).  Only cells with
+    0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal) count toward the
+    argmin and toward min_contraction, and only those with contraction < 1
+    toward the argmin.  Returns a structured infeasibility report (never an
     exception) when no grid cell is feasible.
     """
     if target not in ("hausdorff", "fractal"):
@@ -429,28 +407,20 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
     t_lo, t_hi = map(float, t0_range)
     if not (a_hi > a_lo > 0 and t_hi > t_lo > 0):
         raise ConfigError("ranges must be positive nonempty intervals")
+    if target == "hausdorff":
+        formula, alpha_max = hausdorff_bound, 2.0
+    else:
+        formula, alpha_max = fractal_bound, sc.M1
 
-    def constants(t0):
-        """sc_of_t0(t0), or None where it raises ConfigError or DomainError."""
-        try:
-            return sc_of_t0(t0)
-        except (ConfigError, DomainError):
-            return None
-
-    def evaluate(sc, alpha):
-        """Bound value at alpha for the constants sc, or inf when
-        infeasible there (sc None included)."""
-        if sc is None:
-            return math.inf
-        if target == "hausdorff":
-            val = hausdorff_bound(sc, alpha) if 0.0 < alpha < 2.0 else None
-        else:
-            val = fractal_bound(sc, alpha) if 0.0 < alpha < sc.M1 else None
+    def evaluate(c, alpha):
+        """Bound value at alpha for the constants c, or inf when
+        infeasible there."""
+        val = formula(c, alpha) if 0.0 < alpha < alpha_max else None
         return math.inf if val is None else val
 
     alphas = np.linspace(a_lo, a_hi, grid)
-    t0_rows, contraction, in_range, bound = _scan_grid(
-        sc_of_t0, alphas, np.linspace(t_lo, t_hi, grid), target)
+    t0s = np.linspace(t_lo, t_hi, grid)
+    contraction, in_range, bound = _scan_grid(sc, alphas, t0s, target)
     min_contraction = float(np.min(contraction, where=in_range,
                                    initial=math.inf))
     vals = np.where(np.isnan(bound), math.inf, bound)
@@ -463,15 +433,16 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
                                    "everywhere on the grid",
                      "min_contraction": min_contraction})
     i, j = divmod(int(np.argmin(vals)), len(alphas))
-    best = (best_val, float(alphas[j]), t0_rows[i])
+    best = (best_val, float(alphas[j]), float(t0s[i]))
     _, alpha, t0 = best
     # coordinate-wise golden-section refinement; an alpha leg builds the
     # constants of its fixed t0 once
     for _ in range(3):
-        sc = constants(t0)
-        alpha = _golden_min(lambda a: evaluate(sc, a), a_lo, a_hi)
-        t0 = _golden_min(lambda t: evaluate(constants(t), alpha), t_lo, t_hi)
-    val = evaluate(constants(t0), alpha)
+        c = replace(sc, t0=t0)
+        alpha = _golden_min(lambda a: evaluate(c, a), a_lo, a_hi)
+        t0 = _golden_min(lambda t: evaluate(replace(sc, t0=t), alpha),
+                         t_lo, t_hi)
+    val = evaluate(replace(sc, t0=t0), alpha)
     if val > best[0]:  # refinement should never lose to the grid
         val, alpha, t0 = best
     return OptimizeResult(
@@ -479,27 +450,27 @@ def optimize_bound(sc_of_t0, alpha_range, t0_range, target: str = "hausdorff",
         target=target, min_contraction=min_contraction, reasons={})
 
 
-def bound_grid_csv(sc_of_t0, alpha_range, t0_range, path_or_buf,
+def bound_grid_csv(sc: SqueezeConstants, alpha_range, t0_range, path_or_buf,
                    target: str = "hausdorff", grid: int = 64) -> None:
-    """CSV of (alpha, t0, contraction, bound-or-empty) over the scan grid.
+    """CSV of (alpha, t0, contraction, bound-or-empty) over the scan grid
+    of the constants sc with their t0 replaced by each grid t0.
 
     One pass over `_scan_grid`'s arrays.  A row is written for every
     alpha > 0, also at alpha >= 2 (hausdorff) or alpha >= M1 (any other
     target: fractal), where the bound is left empty, as it is where the
-    contraction is >= 1.  No row is written for alpha <= 0 or for a t0
-    where sc_of_t0 raises ConfigError or DomainError.
+    contraction is >= 1.  No row is written for alpha <= 0.
     """
     a_lo, a_hi = map(float, alpha_range)
     t_lo, t_hi = map(float, t0_range)
     alphas = np.linspace(a_lo, a_hi, grid)
-    t0_rows, contraction, _, bound = _scan_grid(
-        sc_of_t0, alphas, np.linspace(t_lo, t_hi, grid), target)
+    t0s = np.linspace(t_lo, t_hi, grid)
+    contraction, _, bound = _scan_grid(sc, alphas, t0s, target)
     cols = [(j, repr(x)) for j, x in enumerate(alphas.tolist()) if x > 0]
     with open_path_or_buf(path_or_buf, "w", newline="") as f:
         # the csv module's default dialect, written directly: float reprs
         # and empty cells need no quoting, and rows end in "\r\n"
         f.write("alpha,t0,contraction,bound\r\n")
-        for t0, crow, brow in zip(t0_rows, contraction.tolist(),
+        for t0, crow, brow in zip(t0s.tolist(), contraction.tolist(),
                                   bound.tolist()):
             t0_text = repr(t0)
             f.write("".join(

@@ -47,10 +47,6 @@ class AttractorSample:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.points.shape[1]
-
     def __len__(self) -> int:
         return len(self.points)
 

@@ -300,9 +300,12 @@ def _branch_roots(c: float, b: float, r: float, floor: float) -> list[complex]:
     """All roots with Re >= floor via lam = -c + W_k(-b r e^{cr}) / r.
 
     Re W_k decreases monotonically in |k|, so enumeration can stop at the
-    first branch pair falling below the floor.
+    first branch pair falling below the floor.  Raises OverflowError when
+    the Lambert argument -b r e^{cr} is not a finite float.
     """
     arg = -b * r * math.exp(c * r)
+    if math.isinf(arg):
+        raise OverflowError("Lambert argument overflows")
     roots: list[complex] = []
     k = 0
     while True:
@@ -331,18 +334,21 @@ def mode_roots(a: float, b: float, r: float, n: int, floor: float,
     c = _mode_offset(a, n, paper_sign)
     if b == 0.0:
         return [CharRoot(complex(-c, 0.0), n, 1)] if -c >= floor else []
-    if math.log(abs(b) * r) + c * r > 700.0:
-        # argument overflows; every root lies far below any desk-scale floor
-        if rightmost_real_part_bound(c, b, r) < floor:
-            return []
-        raise ConfigError(f"mode {n}: characteristic argument overflow")
-    roots = _branch_roots(c, b, r, floor)
+    re_up = rightmost_real_part_bound(c, b, r)
+    if re_up < floor:
+        # no root reaches the floor: this covers every mode whose Lambert
+        # argument overflows at a desk-scale floor
+        return []
+    try:
+        roots = _branch_roots(c, b, r, floor)
+    except OverflowError:
+        raise ConfigError(
+            f"mode {n}: characteristic argument overflow") from None
     out = _canonicalize(roots, n)
     if out:
         total = sum(cr.real_dimension for cr in out)
         im_max = max(abs(cr.value.imag) for cr in out)
-        re_up = rightmost_real_part_bound(c, b, r) + 0.5
-        box = (floor, re_up, -(im_max + 2.0 + math.pi / r),
+        box = (floor, re_up + 0.5, -(im_max + 2.0 + math.pi / r),
                im_max + 2.0 + math.pi / r)
         w, _ = _winding_with_perturbation(c, b, r, box)
         if w != total:
@@ -365,10 +371,6 @@ class SpectrumTable:
     truncation: tuple  # (max_mode, floor)
     groups: tuple = field(default=(), repr=False)  # tuple of CharRoot tuples
     params: dict = field(default_factory=dict)
-    # values derived from this table, memoised by the functions that derive
-    # them (e.g. the certified M1 of bounds.rde_constants per (m, L_f))
-    derived: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         # stored as Python floats: numpy scalars would leak into every

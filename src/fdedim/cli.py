@@ -116,10 +116,12 @@ def _initial_segment(grid, seed, scale):
     return random_smooth_segment(grid, rng, scale=float(scale))
 
 
-def _spectrum(args):
-    _require(args, "a", "b", "r", "max_mode", "floor")
+def _spectrum(args, max_mode):
+    """The ordered spectrum of the flags' a, b, r, floor and paper sign,
+    over modes 1..max_mode."""
+    _require(args, "a", "b", "r", "floor")
     return ordered_spectrum(float(args.a), float(args.b), float(args.r),
-                            int(args.max_mode), float(args.floor),
+                            int(max_mode), float(args.floor),
                             paper_sign=bool(args.paper_sign))
 
 
@@ -128,7 +130,8 @@ def _spectrum(args):
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args):
-    table = _spectrum(args)
+    _require(args, "a", "b", "r", "max_mode", "floor")
+    table = _spectrum(args, args.max_mode)
     out = _outdir(args)
     spectrum_to_csv(table, os.path.join(out, "spectrum.csv"))
     write_json(table.to_dict(), os.path.join(out, "spectrum.json"))
@@ -164,19 +167,14 @@ def cmd_bounds(args):
 def cmd_optimize(args):
     _require(args, "alpha_min", "alpha_max", "t0_min", "t0_max")
     target = args.target or "hausdorff"
-
-    def sc_of_t0(t0):
-        return _constants_from_args(args, t0)
-
-    res = bd.optimize_bound(sc_of_t0,
-                            (float(args.alpha_min), float(args.alpha_max)),
-                            (float(args.t0_min), float(args.t0_max)),
-                            target=target)
+    alpha_range = (float(args.alpha_min), float(args.alpha_max))
+    t0_range = (float(args.t0_min), float(args.t0_max))
+    # the optimizer varies t0; the constants carry the range's lower end
+    sc = _constants_from_args(args, t0_range[0])
+    res = bd.optimize_bound(sc, alpha_range, t0_range, target=target)
     out = _outdir(args)
     write_json(res.to_dict(), os.path.join(out, "optimize.json"))
-    bd.bound_grid_csv(sc_of_t0,
-                      (float(args.alpha_min), float(args.alpha_max)),
-                      (float(args.t0_min), float(args.t0_max)),
+    bd.bound_grid_csv(sc, alpha_range, t0_range,
                       os.path.join(out, "bound_grid.csv"), target=target)
     if not res.feasible:
         print(f"infeasible: {res.reasons}")
@@ -207,14 +205,7 @@ def _m1_provenance(args):
 
 def _decomposition_pipeline(args, params):
     """spectrum -> decomposition -> fitted K, shared by several verbs."""
-    spec_args = argparse.Namespace(
-        a=params.a, b=params.b, r=params.r,
-        max_mode=_or(args.max_mode, params.num_modes),
-        floor=args.floor, paper_sign=bool(args.paper_sign))
-    _require(spec_args, "floor")
-    table = ordered_spectrum(params.a, params.b, params.r,
-                             int(spec_args.max_mode), float(spec_args.floor),
-                             paper_sign=spec_args.paper_sign)
+    table = _spectrum(args, _or(args.max_mode, params.num_modes))
     m = int(_or(args.m, 1))
     grid = rde_grid(params, int(_or(args.num_nodes, 33)))
     decomp = build_decomposition(table, m, params, grid)
@@ -349,21 +340,19 @@ def cmd_pipeline(args):
     out = _outdir(args)
     spectrum_to_csv(table, os.path.join(out, "spectrum.csv"))
 
-    def sc_of_t0(t0):
-        return bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
-                                t0, statement_m1=bool(args.statement_m1))
-
     alpha_range = (float(_or(args.alpha_min, 0.01)),
                    float(_or(args.alpha_max, 1.99)))
     t0_range = (float(_or(args.t0_min, 0.1 * params.r)),
                 float(_or(args.t0_max, 20.0 * params.r)))
-    opt_h = bd.optimize_bound(sc_of_t0, alpha_range, t0_range, "hausdorff")
-    frac_alpha_hi = min(alpha_range[1],
-                        0.999 * sc_of_t0(t0_range[0]).M1)
-    opt_f = (bd.optimize_bound(sc_of_t0, (alpha_range[0], frac_alpha_hi),
+    # the optimizers vary t0; the constants carry the range's lower end
+    sc = bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
+                          t0_range[0], statement_m1=bool(args.statement_m1))
+    opt_h = bd.optimize_bound(sc, alpha_range, t0_range, "hausdorff")
+    frac_alpha_hi = min(alpha_range[1], 0.999 * sc.M1)
+    opt_f = (bd.optimize_bound(sc, (alpha_range[0], frac_alpha_hi),
                                t0_range, "fractal")
              if frac_alpha_hi > alpha_range[0] else None)
-    bd.bound_grid_csv(sc_of_t0, alpha_range, t0_range,
+    bd.bound_grid_csv(sc, alpha_range, t0_range,
                       os.path.join(out, "bound_grid.csv"))
 
     rng = np.random.default_rng(int(args.seed or 0) + 1)
@@ -375,8 +364,8 @@ def cmd_pipeline(args):
     tr1.to_csv(os.path.join(out, "trajectory.csv"))
     squeeze = None
     if opt_h.feasible:
-        sc = sc_of_t0(opt_h.t0)
-        squeeze = check_squeeze(tr1, tr2, decomp, sc)
+        squeeze = check_squeeze(tr1, tr2, decomp,
+                                dataclasses.replace(sc, t0=opt_h.t0))
         squeeze = {k: v for k, v in squeeze.items() if k != "rows"}
 
     transient = float(_or(args.transient, float(args.T) / 2.0))
@@ -410,7 +399,7 @@ def cmd_pipeline(args):
         "dichotomy": {"K_fit": decomp.K_fit, "K_margin": decomp.K_margin,
                       "provenance": "fitted (linear simulation, "
                                     "safety factor 1.1)"},
-        "constants_m1": {"value": sc_of_t0(t0_range[0]).M1,
+        "constants_m1": {"value": sc.M1,
                          "provenance": _m1_provenance(args)},
         "hausdorff": opt_h.to_dict(),
         "fractal": opt_f.to_dict() if opt_f is not None else None,
@@ -553,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    dests = {a.dest for a in parser._subparsers._group_actions[0]
-             .choices[args.command]._actions if a.dest != "help"}
     try:
-        _merge_config(args, dests)
+        _merge_config(args, set(vars(args)) - {"command", "func"})
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

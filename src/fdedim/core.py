@@ -112,15 +112,6 @@ def sup_norm(h: HistorySegment) -> float:
     return float(np.max(h.grid.value_space_norm(h.values)))
 
 
-def _node_slopes(values: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference slopes at interior nodes (one-sided at the ends)."""
-    m = np.empty_like(values)
-    m[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    m[0] = (values[1] - values[0]) / h
-    m[-1] = (values[-1] - values[-2]) / h
-    return m
-
-
 def interpolate(h: HistorySegment, theta) -> np.ndarray:
     """Piecewise-cubic interpolant of the segment, exact at the nodes.
 

@@ -7,6 +7,7 @@ already fail at t = 0).  Every criterion is expected green.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,11 +441,9 @@ def test_criterion_08_boxdim_calibration():
                                  rde_grid(params, 33))
     K_fit, _ = fit_dichotomy_K(decomp, trials=10)
 
-    def sc_of_t0(t0):
-        return bd.rde_constants(spectrum, 1, params.L_f, K_fit, t0)
-
-    opt = bd.optimize_bound(sc_of_t0, (0.01, 0.7 * sc_of_t0(1.0).M1),
-                            (0.1, 20.0), target="fractal")
+    sc = bd.rde_constants(spectrum, 1, params.L_f, K_fit, 1.0)
+    opt = bd.optimize_bound(sc, (0.01, 0.7 * sc.M1), (0.1, 20.0),
+                            target="fractal")
     assert opt.feasible, "fractal bound must be feasible for this system"
     dt = grid.spacing / 2.0
     rngs = [np.random.default_rng(55_000 + i) for i in range(3)]
@@ -481,23 +480,20 @@ def test_criterion_09_monotonicity():
     spectrum = ordered_spectrum(1.0, 0.0, 1.0, 4, -25.0)
     per_m = []
     for m in (1, 2, 3):
-        def make(t0, m=m):
-            return bd.rde_constants(spectrum, m, 0.05, 1.0, t0)
-        res = bd.optimize_bound(make, (0.01, 1.99), (0.1, 3.0))
+        res = bd.optimize_bound(bd.rde_constants(spectrum, m, 0.05, 1.0, 0.1),
+                                (0.01, 1.99), (0.1, 3.0))
         assert res.feasible
         per_m.append(res.bound)
     checks.append(all(b2 >= b1 - 1e-9
                       for b1, b2 in zip(per_m, per_m[1:])))
 
     # (b) optimizer dominates every grid point it evaluated
-    def sc_of_t0(t0):
-        return bd.SqueezeConstants(M1=0.1, M2=0.05, M3=0.02, lambda0=-0.5,
-                                   lambda1=-1.0, Lambda=1, t0=t0)
-
+    sc = bd.SqueezeConstants(M1=0.1, M2=0.05, M3=0.02, lambda0=-0.5,
+                             lambda1=-1.0, Lambda=1, t0=1.0)
     a_range, t_range = (0.2, 1.8), (0.5, 2.0)
-    res = bd.optimize_bound(sc_of_t0, a_range, t_range)
+    res = bd.optimize_bound(sc, a_range, t_range)
     grid_best = min(
-        v for v in (bd.hausdorff_bound(sc_of_t0(float(t)), float(a))
+        v for v in (bd.hausdorff_bound(replace(sc, t0=float(t)), float(a))
                     for t in np.linspace(*t_range, 64)
                     for a in np.linspace(*a_range, 64))
         if v is not None)

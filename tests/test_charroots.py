@@ -177,6 +177,14 @@ class TestModeRoots:
         assert default[0].value == pytest.approx(-5.0)
         assert flipped[0].value == pytest.approx(-1.0)
 
+    def test_overflowing_argument(self):
+        # mode 30: c r = 901, so -b r e^{c r} is no float; the rightmost
+        # bound puts every root below a desk-scale floor, while with
+        # b = 1e300 it reaches the floor and the roots cannot be computed
+        assert mode_roots(1.0, 0.3, 1.0, 30, -5.0) == []
+        with pytest.raises(ConfigError, match="overflow"):
+            mode_roots(1.0, 1e300, 1.0, 30, -1e9)
+
 
 class TestOrderedSpectrum:
     def test_undelayed_ladder(self):

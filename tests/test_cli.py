@@ -132,6 +132,20 @@ class TestOptimize:
         assert not res["feasible"]
         assert res["reasons"]
 
+    @pytest.mark.parametrize("flag", ["--M1", "--Lambda"])
+    def test_invalid_constant_exit_2(self, tmp_path, flag, capsys):
+        # invalid constants are a config error, as in `bounds`, not an
+        # infeasible grid
+        argv = ["optimize", "--M1", "0.1", "--M2", "0.05", "--M3", "0.02",
+                "--lambda0", "-0.5", "--lambda1", "-1", "--Lambda", "1",
+                "--alpha-min", "0.1", "--alpha-max", "1.9",
+                "--t0-min", "0.5", "--t0-max", "2.0"]
+        argv[argv.index(flag) + 1] = "0"
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "optimize.json").exists()
+
 
 class TestSimulate:
     ARGS = ["simulate", "--a", "1", "--b", "0.3", "--r", "1",
@@ -242,6 +256,23 @@ class TestChecksAndPipeline:
                                          "--k-trials", "0"], tmp_path)
         assert code == 2
         assert "at least one K trial" in capsys.readouterr().err
+
+    def test_pipeline_builds_constants_once(self, tmp_path, monkeypatch):
+        # the optimizers and the bound grid vary t0 on one set of constants
+        from fdedim import bounds
+        calls = []
+        rde_constants = bounds.rde_constants
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rde_constants(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "rde_constants", counted)
+        code, _ = run(["pipeline"] + self.RDE
+                      + ["--T", "3", "--m", "1", "--k-trials", "4",
+                         "--transient", "1.5"], tmp_path)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_pipeline_deterministic(self, tmp_path):
         argv = (["pipeline"] + self.RDE
