@@ -6,12 +6,17 @@ factors eta and zeta, the Hausdorff and fractal bounds they yield, the
 alpha-free limit variants, the specialization constants for the two model
 classes (scalar retarded reaction-diffusion and abstract retarded
 functional equations), and absorbing-set radii/envelopes.
+
+The pullback-attractor bounds are the same formulas with s0 in place of
+t0, so one set of functions serves both.  The (alpha, t0) optimizer scans
+its grid once; the scan travels on its result, and bound_grid_csv writes
+that scan rather than scanning again.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,22 +121,22 @@ class BoundReport:
     fractal: float | None
     alpha_used: float
     feasible: dict
-    variant: str
 
     def to_dict(self) -> dict:
         return {
             "eta": self.eta, "zeta": self.zeta,
             "hausdorff": self.hausdorff, "fractal": self.fractal,
             "alpha_used": self.alpha_used,
-            "feasible": dict(self.feasible), "variant": self.variant,
+            "feasible": dict(self.feasible),
         }
 
 
-def bound_report(sc: SqueezeConstants, alpha: float,
-                 variant: str = "autonomous") -> BoundReport:
-    """Evaluate both bounds at one alpha with per-formula feasibility flags."""
-    if variant not in ("autonomous", "nonautonomous"):
-        raise ConfigError(f"unknown variant {variant!r}")
+def bound_report(sc: SqueezeConstants, alpha: float) -> BoundReport:
+    """Evaluate both bounds at one alpha with per-formula feasibility flags.
+
+    The global-attractor and pullback-attractor bounds are the same
+    formulas in the squeezing constants, with the pullback transit time s0
+    in place of t0, so this one report serves both."""
     e = eta(sc, alpha) if alpha > 0 else math.inf
     z = zeta(sc, alpha) if alpha > 0 else math.inf
     h = f = None
@@ -147,12 +152,7 @@ def bound_report(sc: SqueezeConstants, alpha: float,
     if feas["fractal_alpha_range"] and feas["fractal_zeta_lt_1"]:
         f = fractal_bound(sc, alpha)
     return BoundReport(eta=e, zeta=z, hausdorff=h, fractal=f,
-                       alpha_used=alpha, feasible=feas, variant=variant)
-
-
-def nonautonomous_bounds(sc: SqueezeConstants, alpha: float) -> BoundReport:
-    """Pullback-attractor variant; the formulas coincide, t0 plays s0."""
-    return bound_report(sc, alpha, variant="nonautonomous")
+                       alpha_used=alpha, feasible=feas)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,11 @@ def rde_absorbing_envelope(t: float, phi_norm: float, a: float, L_f: float,
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The optimum of `optimize_bound` or its infeasibility report, with
+    the (alphas, t0s, contraction, bound) arrays of the grid scan behind it
+    as scan, which `bound_grid_csv` writes; scan is kept out of to_dict,
+    repr and ==."""
+
     feasible: bool
     alpha: float | None
     t0: float | None
@@ -315,6 +320,7 @@ class OptimizeResult:
     target: str
     min_contraction: float  # smallest eta/zeta seen over the grid
     reasons: dict
+    scan: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"feasible": self.feasible, "alpha": self.alpha,
@@ -399,7 +405,8 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal) count toward the
     argmin and toward min_contraction, and only those with contraction < 1
     toward the argmin.  Returns a structured infeasibility report (never an
-    exception) when no grid cell is feasible.
+    exception) when no grid cell is feasible.  Either way the result
+    carries the scan, which `bound_grid_csv` writes.
     """
     if target not in ("hausdorff", "fractal"):
         raise ConfigError(f"target must be hausdorff or fractal, got {target}")
@@ -421,6 +428,7 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     alphas = np.linspace(a_lo, a_hi, grid)
     t0s = np.linspace(t_lo, t_hi, grid)
     contraction, in_range, bound = _scan_grid(sc, alphas, t0s, target)
+    scan = (alphas, t0s, contraction, bound)
     min_contraction = float(np.min(contraction, where=in_range,
                                    initial=math.inf))
     vals = np.where(np.isnan(bound), math.inf, bound)
@@ -431,7 +439,8 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
             min_contraction=min_contraction,
             reasons={"constraint": f"{'eta' if target == 'hausdorff' else 'zeta'} >= 1 "
                                    "everywhere on the grid",
-                     "min_contraction": min_contraction})
+                     "min_contraction": min_contraction},
+            scan=scan)
     i, j = divmod(int(np.argmin(vals)), len(alphas))
     best = (best_val, float(alphas[j]), float(t0s[i]))
     _, alpha, t0 = best
@@ -447,25 +456,20 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
         val, alpha, t0 = best
     return OptimizeResult(
         feasible=True, alpha=float(alpha), t0=float(t0), bound=float(val),
-        target=target, min_contraction=min_contraction, reasons={})
+        target=target, min_contraction=min_contraction, reasons={},
+        scan=scan)
 
 
-def bound_grid_csv(sc: SqueezeConstants, alpha_range, t0_range, path_or_buf,
-                   target: str = "hausdorff", grid: int = 64) -> None:
-    """CSV of (alpha, t0, contraction, bound-or-empty) over the scan grid
-    of the constants sc with their t0 replaced by each grid t0.
+def bound_grid_csv(result: OptimizeResult, path_or_buf) -> None:
+    """CSV of (alpha, t0, contraction, bound-or-empty) over the grid that
+    `optimize_bound` scanned to produce result, one row per cell, t0-major.
 
-    One pass over `_scan_grid`'s arrays.  A row is written for every
-    alpha > 0, also at alpha >= 2 (hausdorff) or alpha >= M1 (any other
-    target: fractal), where the bound is left empty, as it is where the
-    contraction is >= 1.  No row is written for alpha <= 0.
+    One pass over the scan's arrays.  Every cell is written, also at
+    alpha >= 2 (hausdorff) or alpha >= M1 (fractal), where the bound is
+    left empty, as it is where the contraction is >= 1.
     """
-    a_lo, a_hi = map(float, alpha_range)
-    t_lo, t_hi = map(float, t0_range)
-    alphas = np.linspace(a_lo, a_hi, grid)
-    t0s = np.linspace(t_lo, t_hi, grid)
-    contraction, _, bound = _scan_grid(sc, alphas, t0s, target)
-    cols = [(j, repr(x)) for j, x in enumerate(alphas.tolist()) if x > 0]
+    alphas, t0s, contraction, bound = result.scan
+    alpha_texts = [repr(x) for x in alphas.tolist()]
     with open_path_or_buf(path_or_buf, "w", newline="") as f:
         # the csv module's default dialect, written directly: float reprs
         # and empty cells need no quoting, and rows end in "\r\n"
@@ -474,6 +478,6 @@ def bound_grid_csv(sc: SqueezeConstants, alpha_range, t0_range, path_or_buf,
                                   bound.tolist()):
             t0_text = repr(t0)
             f.write("".join(
-                f"{a_text},{t0_text},{crow[j]!r},"
-                f"{'' if math.isnan(brow[j]) else repr(brow[j])}\r\n"
-                for j, a_text in cols))
+                f"{a_text},{t0_text},{c!r},"
+                f"{'' if math.isnan(b) else repr(b)}\r\n"
+                for a_text, c, b in zip(alpha_texts, crow, brow)))

@@ -23,13 +23,13 @@ from . import bounds as bd
 from . import boxdim as bx
 from . import covering as cv
 from .charroots import ordered_spectrum, spectrum_to_csv
-from .core import HistorySegment, random_smooth_segment, sup_norm, write_json
+from .core import random_smooth_segment, sup_norm, write_json
 from .errors import (ConfigError, ContourError, FdedimError,
                      IntegrationError, NetConstructionError, TruncationError)
 from .sim import (NonlinearitySpec, RDEParams, check_absorbing, check_squeeze,
                   rde_grid, simulate_rde)
 from .spectral import (build_decomposition, estimate_projection_norm,
-                       fit_dichotomy_K, project, with_K)
+                       fit_dichotomy_K, with_K)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,8 +152,7 @@ def _constants_from_args(args, t0):
 def cmd_bounds(args):
     _require(args, "alpha", "t0")
     sc = _constants_from_args(args, args.t0)
-    report = bd.bound_report(sc, float(args.alpha),
-                             variant=args.variant or "autonomous")
+    report = bd.bound_report(sc, float(args.alpha))
     out = _outdir(args)
     write_json(report.to_dict(), os.path.join(out, "bound_report.json"))
     print(f"eta={report.eta!r} zeta={report.zeta!r} "
@@ -174,8 +173,7 @@ def cmd_optimize(args):
     res = bd.optimize_bound(sc, alpha_range, t0_range, target=target)
     out = _outdir(args)
     write_json(res.to_dict(), os.path.join(out, "optimize.json"))
-    bd.bound_grid_csv(sc, alpha_range, t0_range,
-                      os.path.join(out, "bound_grid.csv"), target=target)
+    bd.bound_grid_csv(res, os.path.join(out, "bound_grid.csv"))
     if not res.feasible:
         print(f"infeasible: {res.reasons}")
         return EXIT_INFEASIBLE
@@ -216,6 +214,15 @@ def _decomposition_pipeline(args, params):
     return table, with_K(decomp, K_fit, K_margin), grid
 
 
+def _pair(args, params, grid):
+    """Two smooth histories drawn from seed + 1, integrated to T as one
+    batch: the trajectory pair of squeeze-check and pipeline."""
+    rng = np.random.default_rng(int(args.seed or 0) + 1)
+    scale = _ic_scale(args)
+    phis = [random_smooth_segment(grid, rng, scale=scale) for _ in range(2)]
+    return simulate_rde(params, phis, float(args.T), float(args.dt))
+
+
 def cmd_squeeze_check(args):
     params = _rde_params(args)
     _require(args, "T", "dt", "t0")
@@ -223,12 +230,7 @@ def cmd_squeeze_check(args):
     sc = bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
                           float(args.t0),
                           statement_m1=bool(args.statement_m1))
-    rng = np.random.default_rng(int(args.seed or 0) + 1)
-    scale = _ic_scale(args)
-    phi1 = random_smooth_segment(grid, rng, scale=scale)
-    phi2 = random_smooth_segment(grid, rng, scale=scale)
-    tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
-                            float(args.dt))
+    tr1, tr2 = _pair(args, params, grid)
     report = check_squeeze(tr1, tr2, decomp, sc)
     report = {k: v for k, v in report.items() if k != "rows"}
     report["constants"] = dataclasses.asdict(sc)
@@ -352,15 +354,9 @@ def cmd_pipeline(args):
     opt_f = (bd.optimize_bound(sc, (alpha_range[0], frac_alpha_hi),
                                t0_range, "fractal")
              if frac_alpha_hi > alpha_range[0] else None)
-    bd.bound_grid_csv(sc, alpha_range, t0_range,
-                      os.path.join(out, "bound_grid.csv"))
+    bd.bound_grid_csv(opt_h, os.path.join(out, "bound_grid.csv"))
 
-    rng = np.random.default_rng(int(args.seed or 0) + 1)
-    scale = _ic_scale(args)
-    phi1 = random_smooth_segment(grid, rng, scale=scale)
-    phi2 = random_smooth_segment(grid, rng, scale=scale)
-    tr1, tr2 = simulate_rde(params, [phi1, phi2], float(args.T),
-                            float(args.dt))
+    tr1, tr2 = _pair(args, params, grid)
     tr1.to_csv(os.path.join(out, "trajectory.csv"))
     squeeze = None
     if opt_h.feasible:
@@ -476,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "--t0", "--alpha"):
         sp.add_argument(flag, type=float)
     sp.add_argument("--Lambda", type=int)
-    sp.add_argument("--variant", choices=["autonomous", "nonautonomous"])
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("optimize", help="tune (alpha, t0)")

@@ -15,7 +15,7 @@ makes the discrete projection exactly idempotent on the sampled basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .charroots import SpectrumTable
 from .core import (GridSpec, HistorySegment, random_segment,
                    random_smooth_segment, sup_norm)
 from .errors import ConfigError, DegenerateRootError, ShapeError
-from .sim import RDEParams, _simpson_weights, linear_semigroup, rde_grid
+from .sim import RDEParams, _simpson_weights, linear_semigroup
 
 
 @dataclass(frozen=True)
@@ -112,21 +112,16 @@ def build_decomposition(spectrum: SpectrumTable, m: int, params: RDEParams,
             row_c = -b * qw * np.exp(-lam * (thetas + r))
             row_c[-1] += 1.0
             row_c = row_c / dchar
-            col = n_mode - 1
-            if root.is_pair:
-                for vec, frow in (((elam.real), 2.0 * row_c.real),
-                                  ((elam.imag), -2.0 * row_c.imag)):
-                    bmat = np.zeros((n_nodes, d))
-                    fmat = np.zeros((n_nodes, d))
-                    bmat[:, col] = vec
-                    fmat[:, col] = frow
-                    basis_rows.append(bmat.ravel())
-                    func_rows.append(fmat.ravel())
-            else:
+            # a conjugate pair spans (Re, Im) of e^{lam theta}, with dual
+            # rows 2 Re row_c and -2 Im row_c; a real root spans itself
+            parts = (((elam.real, 2.0 * row_c.real),
+                      (elam.imag, -2.0 * row_c.imag)) if root.is_pair
+                     else ((elam.real, row_c.real),))
+            for vec, frow in parts:
                 bmat = np.zeros((n_nodes, d))
                 fmat = np.zeros((n_nodes, d))
-                bmat[:, col] = elam.real
-                fmat[:, col] = row_c.real
+                bmat[:, n_mode - 1] = vec
+                fmat[:, n_mode - 1] = frow
                 basis_rows.append(bmat.ravel())
                 func_rows.append(fmat.ravel())
     B = np.array(basis_rows)
@@ -255,5 +250,4 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
 
 def with_K(decomp: SpectralDecomposition, K_fit: float,
            K_margin: float) -> SpectralDecomposition:
-    from dataclasses import replace
     return replace(decomp, K_fit=K_fit, K_margin=K_margin)

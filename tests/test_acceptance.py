@@ -158,11 +158,6 @@ def test_criterion_03_formula_fidelity():
                       == -math.log(2.0 + 4.0 / alpha) / math.log(e))
         checks.append(bd.fractal_bound(c, alpha)
                       == math.log(2.0 + 2.0 * c.M1 / alpha) / (-math.log(z)))
-    # non-autonomous variant: identical numbers
-    rep_a = bd.bound_report(c, 0.2)
-    rep_n = bd.nonautonomous_bounds(c, 0.2)
-    checks.append(rep_a.hausdorff == rep_n.hausdorff
-                  and rep_a.fractal == rep_n.fractal)
     ok = all(checks)
     _report(3, ok, f"{sum(checks)}/{len(checks)} formula identities hold")
     assert ok

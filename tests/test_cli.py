@@ -18,6 +18,20 @@ def run(argv, tmp_path, sub=""):
     return code, out
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch module.name to record the positional args of each call in the
+    returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestRoots:
     def test_undelayed_golden_csv(self, tmp_path):
         code, out = run(["roots", "--a", "1", "--b", "0", "--r", "1",
@@ -68,6 +82,16 @@ class TestBounds:
         rep = json.loads((out / "bound_report.json").read_text())
         assert rep["hausdorff"] == pytest.approx(1.0)
         assert rep["eta"] == pytest.approx(0.25)
+
+    def test_no_variant(self, tmp_path):
+        # the pullback bounds are the same formulas: no variant flag or label
+        with pytest.raises(SystemExit) as exc:
+            run(self.FEASIBLE + ["--variant", "nonautonomous"], tmp_path)
+        assert exc.value.code == 2
+        code, out = run(self.FEASIBLE, tmp_path)
+        assert code == 0
+        rep = json.loads((out / "bound_report.json").read_text())
+        assert "variant" not in rep
 
     def test_infeasible_exit_3(self, tmp_path):
         code, _ = run(["bounds", "--M1", "1", "--M2", "1", "--M3", "1",
@@ -131,6 +155,26 @@ class TestOptimize:
         res = json.loads((out / "optimize.json").read_text())
         assert not res["feasible"]
         assert res["reasons"]
+
+    @pytest.mark.parametrize("constants,expected", [
+        (["--M1", "0.1", "--M2", "0.05", "--M3", "0.02",
+          "--lambda0", "-0.5", "--lambda1", "-1"], 0),
+        (["--M1", "2", "--M2", "2", "--M3", "2",
+          "--lambda0", "0", "--lambda1", "0"], 3)],
+        ids=["feasible", "infeasible"])
+    def test_scans_grid_once(self, tmp_path, monkeypatch, constants,
+                             expected):
+        # the CSV is the optimizer's own scan, written also before exit 3
+        from fdedim import bounds
+        calls = count_calls(monkeypatch, bounds, "_scan_grid")
+        code, out = run(["optimize"] + constants
+                        + ["--Lambda", "1", "--alpha-min", "0.1",
+                           "--alpha-max", "1.9", "--t0-min", "0.5",
+                           "--t0-max", "2.0"], tmp_path)
+        assert code == expected
+        assert len(calls) == 1
+        with open(out / "bound_grid.csv", newline="") as f:
+            assert len(list(csv.reader(f))) == 1 + 64 * 64
 
     @pytest.mark.parametrize("flag", ["--M1", "--Lambda"])
     def test_invalid_constant_exit_2(self, tmp_path, flag, capsys):
@@ -260,19 +304,22 @@ class TestChecksAndPipeline:
     def test_pipeline_builds_constants_once(self, tmp_path, monkeypatch):
         # the optimizers and the bound grid vary t0 on one set of constants
         from fdedim import bounds
-        calls = []
-        rde_constants = bounds.rde_constants
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return rde_constants(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "rde_constants", counted)
+        calls = count_calls(monkeypatch, bounds, "rde_constants")
         code, _ = run(["pipeline"] + self.RDE
                       + ["--T", "3", "--m", "1", "--k-trials", "4",
                          "--transient", "1.5"], tmp_path)
         assert code == 0
         assert len(calls) == 1
+
+    def test_pipeline_scans_grids_twice(self, tmp_path, monkeypatch):
+        # one scan per optimized target; the CSV reuses the Hausdorff one
+        from fdedim import bounds
+        calls = count_calls(monkeypatch, bounds, "_scan_grid")
+        code, _ = run(["pipeline"] + self.RDE
+                      + ["--T", "3", "--m", "1", "--k-trials", "4",
+                         "--transient", "1.5"], tmp_path)
+        assert code == 0
+        assert [target for *_, target in calls] == ["hausdorff", "fractal"]
 
     def test_pipeline_deterministic(self, tmp_path):
         argv = (["pipeline"] + self.RDE
