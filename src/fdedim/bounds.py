@@ -10,7 +10,8 @@ functional equations), and absorbing-set radii/envelopes.
 The pullback-attractor bounds are the same formulas with s0 in place of
 t0, so one set of functions serves both.  The (alpha, t0) optimizer scans
 its grid once; the scan travels on its result, and bound_grid_csv writes
-that scan rather than scanning again.
+that scan rather than scanning again, through core.write_csv, the one CSV
+writer of every table.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .charroots import SpectrumTable
-from .core import open_path_or_buf
+from .core import write_csv
 from .errors import ConfigError, DomainError
 
 
@@ -462,22 +463,18 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
 
 def bound_grid_csv(result: OptimizeResult, path_or_buf) -> None:
     """CSV of (alpha, t0, contraction, bound-or-empty) over the grid that
-    `optimize_bound` scanned to produce result, one row per cell, t0-major.
+    `optimize_bound` scanned to produce result, one row per cell, t0-major,
+    written by `core.write_csv`.
 
-    One pass over the scan's arrays.  Every cell is written, also at
-    alpha >= 2 (hausdorff) or alpha >= M1 (fractal), where the bound is
-    left empty, as it is where the contraction is >= 1.
+    Every cell is written, also at alpha >= 2 (hausdorff) or alpha >= M1
+    (fractal), where the bound is left empty, as it is where the
+    contraction is >= 1.  The alpha and t0 columns are text columns, so
+    each grid value is formatted once, not once per row.
     """
     alphas, t0s, contraction, bound = result.scan
-    alpha_texts = [repr(x) for x in alphas.tolist()]
-    with open_path_or_buf(path_or_buf, "w", newline="") as f:
-        # the csv module's default dialect, written directly: float reprs
-        # and empty cells need no quoting, and rows end in "\r\n"
-        f.write("alpha,t0,contraction,bound\r\n")
-        for t0, crow, brow in zip(t0s.tolist(), contraction.tolist(),
-                                  bound.tolist()):
-            t0_text = repr(t0)
-            f.write("".join(
-                f"{a_text},{t0_text},{c!r},"
-                f"{'' if math.isnan(b) else repr(b)}\r\n"
-                for a_text, c, b in zip(alpha_texts, crow, brow)))
+    write_csv(path_or_buf, ["alpha", "t0", "contraction", "bound"],
+              [[repr(a) for a in alphas.tolist()] * len(t0s),
+               [t for t in map(repr, t0s.tolist()) for _ in alphas],
+               contraction.ravel(),
+               ["" if math.isnan(b) else repr(b)
+                for b in bound.ravel().tolist()]])

@@ -15,7 +15,6 @@ counting in a few varying columns takes the code; the pipeline's samples
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import open_path_or_buf
+from .core import write_csv
 from .errors import ConfigError, DegenerateSampleError
 from .sim import Trajectory
 
@@ -289,8 +288,5 @@ def diameter(sample: AttractorSample) -> float:
 
 
 def counts_to_csv(result: dict, path_or_buf) -> None:
-    with open_path_or_buf(path_or_buf, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["eps", "n_eps"])
-        for e, c in zip(result["eps"], result["counts"]):
-            w.writerow([repr(float(e)), int(c)])
+    """One row per box size: eps, n_eps."""
+    write_csv(path_or_buf, ["eps", "n_eps"], [result["eps"], result["counts"]])

@@ -11,14 +11,13 @@ source material flips the n^2 sign, which `paper_sign=True` restores.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
 
-from .core import open_path_or_buf
+from .core import write_csv
 from .errors import ConfigError, ContourError, DomainError, TruncationError
 
 RESIDUAL_TOL = 1e-10
@@ -388,10 +387,6 @@ class SpectrumTable:
         """Cumulative real dimension k_m."""
         return self.cumulative[m - 1]
 
-    def to_rows(self):
-        return [(rho, mult, cum) for rho, mult, cum in
-                zip(self.rhos, self.multiplicities, self.cumulative)]
-
     def to_dict(self) -> dict:
         return {
             "rhos": list(self.rhos),
@@ -448,8 +443,6 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
 
 
 def spectrum_to_csv(table: SpectrumTable, path_or_buf) -> None:
-    with open_path_or_buf(path_or_buf, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["rho", "multiplicity", "k_cumulative"])
-        for rho, mult, cum in table.to_rows():
-            w.writerow([repr(float(rho)), mult, cum])
+    """One row per distinct real part: rho, multiplicity, k_cumulative."""
+    write_csv(path_or_buf, ["rho", "multiplicity", "k_cumulative"],
+              [table.rhos, table.multiplicities, table.cumulative])

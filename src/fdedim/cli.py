@@ -88,13 +88,12 @@ def _outdir(args):
 
 
 def _nonlinearity(args) -> NonlinearitySpec:
-    kind = getattr(args, "nonlinearity", None) or "zero"
-    kw = {}
-    if kind in ("tanh", "affine_tanh"):
-        kw["kappa"] = float(getattr(args, "kappa", None) or 0.0)
-    if kind == "affine_tanh":
-        kw["offset"] = float(getattr(args, "offset", None) or 0.0)
-    return NonlinearitySpec(kind=kind, **kw)
+    """The flags' nonlinearity; kappa and offset, whenever given, go to
+    NonlinearitySpec, which rejects them for a kind without them."""
+    kw = {name: float(getattr(args, name)) for name in ("kappa", "offset")
+          if getattr(args, name, None) is not None}
+    return NonlinearitySpec(kind=getattr(args, "nonlinearity", None) or "zero",
+                            **kw)
 
 
 def _rde_params(args) -> RDEParams:

@@ -112,6 +112,12 @@ def sup_norm(h: HistorySegment) -> float:
     return float(np.max(h.grid.value_space_norm(h.values)))
 
 
+def hermite_basis(s):
+    """Cubic Hermite weights (h00, h10, h01, h11) at s in [0, 1]."""
+    return ((1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2,
+            s * s * (3 - 2 * s), s * s * (s - 1))
+
+
 def interpolate(h: HistorySegment, theta) -> np.ndarray:
     """Piecewise-cubic interpolant of the segment, exact at the nodes.
 
@@ -158,10 +164,7 @@ def interpolate(h: HistorySegment, theta) -> np.ndarray:
     i, s = i[mid], s[mid, None]
     m_i = (v[i + 1] - v[i - 1]) / 2.0
     m_ip = (v[i + 2] - v[i]) / 2.0
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
+    h00, h10, h01, h11 = hermite_basis(s)
     out[mid] = h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
     return out.reshape(th.shape + (g.value_dim,))
 
@@ -196,24 +199,54 @@ def write_json(obj, path_or_buf) -> None:
         f.write("\n")
 
 
-def segment_to_csv(h: HistorySegment, path_or_buf) -> None:
-    """One row per node: theta, v1..vd."""
+def write_csv(path_or_buf, header, columns) -> None:
+    """The one CSV writer of every table: the header row, then row i of the
+    equal-length columns, in the csv module's default dialect.  A number
+    column is written as the reprs of np.asarray(col).tolist(), so floats
+    read back exactly; a list of str as it is.  Rows are streamed."""
+    if len({len(col) for col in columns}) > 1:
+        raise ShapeError("CSV columns differ in length")
+    cells = [col if isinstance(col, list) and col and isinstance(col[0], str)
+             else map(repr, np.asarray(col).tolist()) for col in columns]
+    # reprs need no quoting; the csv module quotes a str cell holding a
+    # comma, quote or line break, or an empty one alone on its row
+    text = "".join("".join(col) for col in cells if isinstance(col, list))
     with open_path_or_buf(path_or_buf, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)])
-        for theta, row in zip(h.grid.nodes(), h.values):
-            w.writerow([repr(float(theta))] + [repr(float(x)) for x in row])
+        w.writerow(header)
+        if len(columns) > 1 and not any(c in text for c in ',"\r\n'):
+            # the same text, hand-joined at about half of writerows' cost
+            f.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        else:
+            w.writerows(zip(*cells))
+
+
+def segment_to_csv(h: HistorySegment, path_or_buf) -> None:
+    """One row per node: theta, v1..vd."""
+    write_csv(path_or_buf,
+              ["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)],
+              [h.grid.nodes(), *h.values.T])
 
 
 def segment_from_csv(path_or_buf, value_norm: str = "euclidean") -> HistorySegment:
+    """Inverse of segment_to_csv: ConfigError unless every row is as wide
+    as the header, every cell is a number and the theta column is the
+    grid's nodes to 1e-12 r."""
     with open_path_or_buf(path_or_buf, "r", newline="") as f:
         rows = list(csv.reader(f))
     if len(rows) < 3:
         raise ConfigError("segment CSV needs at least 2 node rows")
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
+    if any(len(row) != len(rows[0]) for row in rows[1:]):
+        raise ConfigError("segment CSV rows must be as wide as its header")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:]])
+    except ValueError:
+        raise ConfigError("segment CSV cell is not a number") from None
     thetas, values = data[:, 0], data[:, 1:]
-    grid = GridSpec(delay_r=-thetas[0], num_nodes=len(thetas),
+    grid = GridSpec(delay_r=-float(thetas[0]), num_nodes=len(thetas),
                     value_dim=values.shape[1], value_norm=value_norm)
+    if not np.all(np.abs(thetas - grid.nodes()) <= 1e-12 * grid.delay_r):
+        raise ConfigError("segment CSV theta column is off its grid")
     return HistorySegment(grid, values)
 
 

@@ -7,13 +7,12 @@ certified by dense probing, not by formal proof.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import open_path_or_buf
+from .core import write_csv
 from .errors import ConfigError, NetConstructionError
 
 NORM_KINDS = ("sup", "euclidean", "weighted-sup")
@@ -245,8 +244,5 @@ def verify_covering(centers: np.ndarray, norm: NormSpec, r1: float,
 def net_to_csv(centers: np.ndarray, path_or_buf) -> None:
     """One center per row."""
     centers = np.asarray(centers, dtype=float)
-    with open_path_or_buf(path_or_buf, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{k + 1}" for k in range(centers.shape[1])])
-        for row in centers:
-            w.writerow([repr(float(x)) for x in row])
+    write_csv(path_or_buf, [f"x{k + 1}" for k in range(centers.shape[1])],
+              centers.T)

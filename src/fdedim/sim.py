@@ -23,7 +23,6 @@ Model classes:
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GridSpec, HistorySegment, interpolate, open_path_or_buf
+from .core import (GridSpec, HistorySegment, hermite_basis, interpolate,
+                   write_csv)
 from .errors import (ConfigError, DegeneratePairError, IntegrationError,
                      ShapeError)
 
@@ -219,18 +219,13 @@ class Trajectory:
         return sliding_window_view(node_norms, self.grid.num_nodes).max(axis=1)
 
     def to_csv(self, path_or_buf) -> None:
-        """Rows: time, segment sup-norm, leading state coordinates."""
+        """Rows: time, segment sup-norm, leading state coordinates (at most
+        4), one per sample time >= 0, written by `core.write_csv`."""
         lead = min(4, self.grid.value_dim)
-        with open_path_or_buf(path_or_buf, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["time", "sup_norm"]
-                       + [f"y{k + 1}" for k in range(lead)])
-            ts = self.sample_times()
-            sn = self.norms()
-            rows = self.states[self.grid.num_nodes - 1:]
-            for t, nn, row in zip(ts, sn, rows):
-                w.writerow([repr(float(t)), repr(float(nn))]
-                           + [repr(float(x)) for x in row[:lead]])
+        write_csv(path_or_buf,
+                  ["time", "sup_norm"] + [f"y{k + 1}" for k in range(lead)],
+                  [self.sample_times(), self.norms(),
+                   *self.states[self.grid.num_nodes - 1:, :lead].T])
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +344,7 @@ def _hermite(ys, dys, dt, taus):
     i = i + up
     s = np.where(up | (s < 1e-10), 0.0, s)[:, None, None]
     j = np.minimum(i + 1, len(ys) - 1)
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
+    h00, h10, h01, h11 = hermite_basis(s)
     return (h00 * ys[i] + h10 * dt * dys[i]
             + h01 * ys[j] + h11 * dt * dys[j])
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -388,3 +389,22 @@ def test_serialization():
     write_json(res, jbuf)
     import json
     assert json.loads(jbuf.getvalue())["estimate"] == res["estimate"]
+
+
+def _reference_counts_csv(result, f):
+    """The csv-module loop that core.write_csv replaced in counts_to_csv,
+    kept verbatim in logic."""
+    w = csv.writer(f)
+    w.writerow(["eps", "n_eps"])
+    for e, c in zip(result["eps"], result["counts"]):
+        w.writerow([repr(float(e)), int(c)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_csv_matches_reference(seed):
+    pts = np.random.default_rng(seed).random((200, 3))
+    res = box_counting_dim(make_sample(pts), dyadic_eps(0.5, 7))
+    got, want = io.StringIO(), io.StringIO()
+    counts_to_csv(res, got)
+    _reference_counts_csv(res, want)
+    assert got.getvalue() == want.getvalue()

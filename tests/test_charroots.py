@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -232,6 +233,27 @@ class TestOrderedSpectrum:
         d = t.to_dict()
         assert d["rhos"] == [-2.0, -5.0]
         assert d["truncation"]["max_mode"] == 2
+
+    @pytest.mark.parametrize("a,b,r,max_mode,floor", [
+        (1.0, 0.0, 1.0, 3, -15.0), (1.0, 0.3, 1.0, 3, -3.7),
+        (1.0, 0.3, 1.0, 6, -4.9), (0.5, -2.0, 1.0, 2, -1.3),
+        (2.0, 0.5, 0.5, 4, -6.0)])
+    def test_csv_matches_reference(self, a, b, r, max_mode, floor):
+        t = ordered_spectrum(a, b, r, max_mode, floor)
+        got, want = io.StringIO(), io.StringIO()
+        spectrum_to_csv(t, got)
+        _reference_spectrum_csv(t, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def _reference_spectrum_csv(table, f):
+    """The csv-module loop that core.write_csv replaced in spectrum_to_csv
+    (through the removed SpectrumTable.to_rows), kept verbatim in logic."""
+    w = csv.writer(f)
+    w.writerow(["rho", "multiplicity", "k_cumulative"])
+    for rho, mult, cum in zip(table.rhos, table.multiplicities,
+                              table.cumulative):
+        w.writerow([repr(float(rho)), mult, cum])
 
 
 class TestSpectrumTableInvariants:

@@ -215,6 +215,16 @@ class TestSimulate:
                       tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--kappa", "0.5"],
+        ["--nonlinearity", "tanh", "--offset", "2"]],
+        ids=["kappa-without-nonlinearity", "tanh-with-offset"])
+    def test_unused_nonlinearity_flag_exit_2(self, flags, tmp_path, capsys):
+        code, out = run(self.ARGS + flags, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestChecksAndPipeline:
     RDE = ["--a", "1", "--b", "0.3", "--r", "1", "--num-modes", "3",

@@ -1,14 +1,16 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdedim.core import (GridSpec, HistorySegment, interpolate,
-                         random_segment, random_smooth_segment,
-                         segment_from_csv, segment_to_csv, sup_norm)
+from fdedim.core import (GridSpec, HistorySegment, hermite_basis,
+                         interpolate, random_segment, random_smooth_segment,
+                         segment_from_csv, segment_to_csv, sup_norm,
+                         write_csv)
 from fdedim.errors import ConfigError, DomainError, ShapeError
 
 
@@ -123,6 +125,108 @@ class TestSerde:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             segment_from_csv(io.StringIO("theta,v1\n0.0,1.0\n"))
+
+    @pytest.mark.parametrize("text", [
+        # nonuniform theta, with the first node and row count of a grid
+        "theta,v1\r\n-1.0,1.0\r\n-0.3,2.0\r\n0.0,3.0\r\n",
+        # uniform theta that does not end at 0
+        "theta,v1\r\n-1.0,1.0\r\n-0.5,2.0\r\n-0.2,3.0\r\n",
+        # a row narrower than the header
+        "theta,v1\r\n-1.0,1.0\r\n-0.5\r\n0.0,3.0\r\n",
+        # a cell that is not a number
+        "theta,v1\r\n-1.0,x\r\n0.0,1.0\r\n",
+    ], ids=["nonuniform", "not-ending-at-0", "short-row", "non-numeric"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ConfigError):
+            segment_from_csv(io.StringIO(text))
+
+    def test_delay_r_is_python_float(self):
+        buf = io.StringIO()
+        segment_to_csv(HistorySegment.zero(grid(n=5, r=1.5)), buf)
+        back = segment_from_csv(io.StringIO(buf.getvalue()))
+        assert type(back.grid.delay_r) is float
+        assert back.grid.delay_r == 1.5
+
+    @pytest.mark.parametrize("n,d,r", [(9, 3, 1.0), (17, 1, 0.2), (5, 2, 3.0)])
+    def test_matches_reference(self, n, d, r):
+        h = random_segment(grid(n=n, d=d, r=r), np.random.default_rng(n))
+        got, want = io.StringIO(), io.StringIO()
+        segment_to_csv(h, got)
+        _reference_segment_csv(h, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def _reference_segment_csv(h, f):
+    """The csv-module loop that core.write_csv replaced in segment_to_csv,
+    kept verbatim in logic."""
+    w = csv.writer(f)
+    w.writerow(["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)])
+    for theta, row in zip(h.grid.nodes(), h.values):
+        w.writerow([repr(float(theta))] + [repr(float(x)) for x in row])
+
+
+# ---------------------------------------------------------------------------
+# write_csv against csv.writer with repr cells
+# ---------------------------------------------------------------------------
+
+_CELLS = {
+    "float": st.floats(allow_subnormal=True) | st.sampled_from(
+        [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]),
+    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "str": st.text(),
+}
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns as write_csv takes them, the same columns as Python
+    values): number columns as a list or an ndarray, str columns as a
+    list."""
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=4))
+    header = draw(st.lists(st.text(), min_size=len(kinds),
+                           max_size=len(kinds)))
+    given_cols, values = [], []
+    for kind in kinds:
+        vals = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+        as_array = kind != "str" and draw(st.booleans())
+        given_cols.append(np.array(vals) if as_array else vals)
+        values.append(vals)
+    return header, given_cols, values
+
+
+class TestWriteCsv:
+    @given(_tables())
+    # the two cases the csv module quotes: a delimiter or quote in a cell,
+    # and an empty cell alone on its row
+    @example((["a", "b"], [['q",'], [1.0]], [['q",'], [1.0]]))
+    @example((["h"], [["", "x"]], [["", "x"]]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_csv_writer(self, table):
+        header, columns, values = table
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, header, columns)
+        w = csv.writer(want)
+        w.writerow(header)
+        for row in zip(*values):
+            w.writerow([x if isinstance(x, str) else repr(x) for x in row])
+        assert got.getvalue() == want.getvalue()
+
+    def test_numpy_scalars_written_as_python_numbers(self):
+        buf = io.StringIO()
+        write_csv(buf, ["x", "k"], [[np.float64(0.1)], (np.int64(3),)])
+        assert buf.getvalue() == "x,k\r\n0.1,3\r\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            write_csv(io.StringIO(), ["a", "b"], [[1.0, 2.0], [1.0]])
+
+
+def test_hermite_basis_at_interval_ends():
+    basis = hermite_basis(np.array([0.0, 1.0]))
+    assert [b.tolist() for b in basis] == [[1.0, 0.0], [0.0, 0.0],
+                                          [0.0, 1.0], [0.0, 0.0]]
 
 
 def test_random_smooth_segment_is_smooth():

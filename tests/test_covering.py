@@ -1,3 +1,4 @@
+import csv
 import io
 import pathlib
 import runpy
@@ -161,6 +162,27 @@ def test_net_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "x1,x2"
     assert len(lines) == len(net) + 1
+
+
+def _reference_net_csv(centers, f):
+    """The csv-module loop that core.write_csv replaced in net_to_csv,
+    kept verbatim in logic."""
+    centers = np.asarray(centers, dtype=float)
+    w = csv.writer(f)
+    w.writerow([f"x{k + 1}" for k in range(centers.shape[1])])
+    for row in centers:
+        w.writerow([repr(float(x)) for x in row])
+
+
+@pytest.mark.parametrize("norm", [
+    NormSpec(1), NormSpec(2), NormSpec(3, "euclidean"),
+    NormSpec(2, "weighted-sup", (1.0, 0.5))], ids=repr)
+def test_net_csv_matches_reference(norm):
+    net = build_net(norm, 2.0, 1.0)
+    got, want = io.StringIO(), io.StringIO()
+    net_to_csv(net, got)
+    _reference_net_csv(net, want)
+    assert got.getvalue() == want.getvalue()
 
 
 @given(st.integers(min_value=1, max_value=3),

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -417,6 +419,31 @@ def test_trajectory_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("time,sup_norm,y1,y2")
     assert len(lines) == len(traj.sample_times()) + 1
+
+
+def _reference_trajectory_csv(traj, f):
+    """The csv-module loop that core.write_csv replaced in
+    Trajectory.to_csv, kept verbatim in logic."""
+    lead = min(4, traj.grid.value_dim)
+    w = csv.writer(f)
+    w.writerow(["time", "sup_norm"] + [f"y{k + 1}" for k in range(lead)])
+    rows = traj.states[traj.grid.num_nodes - 1:]
+    for t, nn, row in zip(traj.sample_times(), traj.norms(), rows):
+        w.writerow([repr(float(t)), repr(float(nn))]
+                   + [repr(float(x)) for x in row[:lead]])
+
+
+@pytest.mark.parametrize("num_modes", [1, 3, 6])
+def test_trajectory_csv_matches_reference(num_modes):
+    params = RDEParams(a=1.0, b=0.3, r=1.0, num_modes=num_modes,
+                       nonlinearity=NonlinearitySpec("tanh", kappa=0.2))
+    grid = rde_grid(params, 17)
+    phi = random_smooth_segment(grid, np.random.default_rng(num_modes))
+    traj = simulate_rde(params, phi, 1.5, grid.spacing / 2.0, grid=grid)
+    got, want = io.StringIO(), io.StringIO()
+    traj.to_csv(got)
+    _reference_trajectory_csv(traj, want)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
