@@ -11,11 +11,11 @@ source material flips the n^2 sign, which `paper_sign=True` restores.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .core import write_csv
 from .errors import ConfigError, ContourError, DomainError, TruncationError
@@ -26,35 +26,83 @@ MIN_BOX = 1e-7  # box diagonal below which bisection stops splitting
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch (scipy.special.lambertw)
+# Lambert W (Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W
+# function", Adv. Comput. Math. 5, 1996)
 # ---------------------------------------------------------------------------
+
+W_STEP_TOL = 4e-16  # relative step below which an iteration has converged
+W_MAX_STEPS = 64
+
+
+def _w_halley(x: float, w: complex) -> complex:
+    """Halley's iteration on w e^w = x from the start w."""
+    for _ in range(W_MAX_STEPS):
+        ew = cmath.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= W_STEP_TOL * abs(w):
+            break
+    return w
+
+
+def _w_log_newton(t: complex) -> complex:
+    """Newton's iteration on w + Log w = t, started from the asymptotic
+    series t - Log t + Log t / t.  With t = Log x + 2 pi i k this is W_k(x)
+    without forming x; it needs |t| of order 1 or more."""
+    lt = cmath.log(t)
+    w = t - lt + lt / t
+    for _ in range(W_MAX_STEPS):
+        step = (w + cmath.log(w) - t) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= W_STEP_TOL * abs(w):
+            break
+    return w
+
+
+def lambert_w(x: float, k: int = 0) -> complex:
+    """Branch k of the Lambert W function at a real x, on the branches of
+    scipy.special.lambertw: a negative x lies on the upper side of each
+    cut, so W_0 is real on [-1/e, inf) and W_-1 on [-1/e, 0).
+
+    Halley's iteration on w e^w = x runs near the branch point -1/e (from
+    its series, on W_0 and W_-1), on W_0 up to x = e and on W_-1 where it is
+    real.  Newton's iteration on w + Log w = Log x + 2 pi i k runs
+    everywhere else.
+    """
+    if x == 0.0:
+        return 0j if k == 0 else complex(-math.inf, 0.0)
+    p = cmath.sqrt(2.0 * (math.e * x + 1.0))
+    if k in (0, -1) and abs(p) < 1.0:
+        if p == 0:  # Halley's step would divide by w + 1 = 0
+            return complex(-1.0, 0.0)
+        s = 1.0 if k == 0 else -1.0
+        return _w_halley(x, -1.0 + s * p - p * p / 3.0
+                         + s * 11.0 / 72.0 * p ** 3)
+    if k == 0 and -1.0 / math.e < x <= math.e:
+        return _w_halley(x, complex(math.log1p(x)))
+    if k == -1 and -1.0 / math.e < x < 0.0:
+        # W_-1 is real here, and a real w < 0 solves w + Log w = Log x, not
+        # Log x - 2 pi i: the logarithmic form would miss it
+        l1 = math.log(-x)
+        l2 = math.log(-l1)
+        return _w_halley(x, complex(l1 - l2 + l2 / l1))
+    return _w_log_newton(cmath.log(x) + 2j * math.pi * k)
+
 
 def lambert_w0(x: float) -> float:
     """Principal real branch W0(x) for x >= -1/e.
 
     Arguments at or within 1e-15 below the branch point return W0(-1/e) = -1:
-    the float -1/math.e lies just below the true branch point, where scipy
-    returns nan.
+    the float -1/math.e lies just below the true branch point, where W0 is
+    not real.
     """
     x = float(x)
     if x < -1.0 / math.e - 1e-15:
         raise DomainError(f"lambert_w0 argument {x} below -1/e")
     if x <= -1.0 / math.e:
         return -1.0
-    return float(scipy.special.lambertw(x).real)
-
-
-def _solve_w_plus_log(u: float) -> float:
-    """Solve w + ln(w) = u for w > 0 (i.e. W0(e^u) without forming e^u)."""
-    w = max(u - math.log(max(u, 2.0)), 1e-8) if u > 2.0 else 1.0
-    for _ in range(80):
-        f = w + math.log(w) - u
-        df = 1.0 + 1.0 / w
-        step = f / df
-        w -= step
-        if abs(step) < 1e-14 * max(1.0, abs(w)):
-            break
-    return w
+    return lambert_w(x).real
 
 
 def _w0_scaled(b: float, c: float, r: float) -> float:
@@ -62,7 +110,7 @@ def _w0_scaled(b: float, c: float, r: float) -> float:
     overflow, it solves w + ln w = ln(|b| r) + c r instead."""
     u_log = math.log(abs(b) * r) + c * r
     if u_log > 700.0:
-        return _solve_w_plus_log(u_log)
+        return _w_log_newton(complex(u_log)).real
     return lambert_w0(abs(b) * r * math.exp(c * r))
 
 
@@ -310,7 +358,7 @@ def _branch_roots(c: float, b: float, r: float, floor: float) -> list[complex]:
     while True:
         done = True
         for kk in ({0} if k == 0 else {k, -k}):
-            w = complex(scipy.special.lambertw(arg, kk))
+            w = lambert_w(arg, kk)
             lam = (-c + w / r)
             lam = _newton_polish(lam, c, b, r)
             if lam.real >= floor:

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import math
@@ -5,11 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdedim.charroots import (CharRoot, SpectrumTable, char_value,
-                              lambert_w0, mode_roots, ordered_spectrum,
+                              lambert_w, lambert_w0, mode_roots,
+                              ordered_spectrum,
                               real_rightmost_root, rightmost_real_part_bound,
                               roots_in_box, spectrum_to_csv, winding_number)
 from fdedim.errors import ConfigError, DomainError, TruncationError
@@ -29,8 +31,8 @@ class TestLambertW0:
             lambert_w0(-0.5)
 
     def test_branch_point_float_clamped(self):
-        # the float -1/e lies just below the true branch point, where
-        # scipy's lambertw returns nan
+        # the float -1/e lies just below the true branch point, where W0 is
+        # not real
         assert lambert_w0(-1.0 / math.e) == -1.0
 
     @given(st.floats(min_value=-0.36, max_value=1e6))
@@ -38,6 +40,51 @@ class TestLambertW0:
     def test_defining_identity(self, x):
         w = lambert_w0(x)
         assert w * math.exp(w) == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+
+# within this distance of -1/e, W is too ill-conditioned (relative condition
+# number 1/|1 + W|, about 140 at the edge) for two double implementations to
+# agree to 1e-13: scipy itself is 1.1e-13 from the exact value at 1e-6
+BRANCH_POINT_WINDOW = 1e-5
+
+
+class TestLambertW:
+    @given(st.floats(min_value=1e-6, max_value=1e12), st.booleans(),
+           st.integers(min_value=-8, max_value=8))
+    @example(1.0 / math.e - 1e-9, True, -1)
+    @example(1.0 / math.e + 1e-9, True, 0)
+    @example(1.0 / math.e - 2e-5, True, -1)
+    @example(1e-6, True, -1)
+    @example(1e12, False, 0)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scipy(self, mag, negative, k):
+        x = -mag if negative else mag
+        w = lambert_w(x, k)
+        if abs(x + 1.0 / math.e) < BRANCH_POINT_WINDOW:
+            assert abs(w * cmath.exp(w) - x) <= 1e-14 * (1.0 + abs(w)) * mag
+        else:
+            want = complex(scipy.special.lambertw(x, k))
+            assert abs(w - want) <= 1e-13 * abs(want)
+
+    def test_near_branch_point(self):
+        # exact values (mpmath, 40 digits) where scipy's k = -1 value is
+        # -1.0000000082; the tolerance is the condition number 1.4e4 times
+        # a few ulp
+        x = -1.0 / math.e + 1e-9
+        assert lambert_w(x, -1) == pytest.approx(-1.0000737348695394,
+                                                 rel=1e-11)
+        assert lambert_w(x, 0) == pytest.approx(-0.9999262687548364,
+                                                rel=1e-11)
+
+    def test_real_branches_are_real(self):
+        assert lambert_w(0.5).imag == 0.0
+        assert lambert_w(-0.2).imag == 0.0
+        assert lambert_w(-0.2, -1).imag == 0.0
+        assert lambert_w(-1e-300, -1).imag == 0.0
+
+    def test_zero(self):
+        assert lambert_w(0.0) == 0.0
+        assert lambert_w(0.0, 1).real == -math.inf
 
 
 def _newton_real_root_oracle(c, b, r, x0):
@@ -254,6 +301,76 @@ def _reference_spectrum_csv(table, f):
     for rho, mult, cum in zip(table.rhos, table.multiplicities,
                               table.cumulative):
         w.writerow([repr(float(rho)), mult, cum])
+
+
+# every root of the README configs (a, b, r, max_mode, floor), in
+# ordered_spectrum's order, as computed through scipy.special.lambertw; all
+# multiplicities are 1
+README_ROOTS = {
+    (1.0, 0.3, 1.0, 3, -3.7): [
+        (1, (-1.7530264667528612+1.7139106058517042j)),
+        (2, (-2.4540766752634977+2.388158173635368j)),
+        (3, (-3.197309804109355+2.7565934648681827j)),
+        (1, (-3.2573319719096796+7.691953913090728j)),
+        (2, (-3.3123840348302664+8.060372242623828j)),
+        (3, (-3.570382527005384+8.501497684479078j)),
+    ],
+    (1.0, 0.3, 1.0, 6, -4.9): [
+        (1, (-1.7530264667528612+1.7139106058517042j)),
+        (2, (-2.4540766752634977+2.388158173635368j)),
+        (3, (-3.197309804109355+2.7565934648681827j)),
+        (1, (-3.2573319719096796+7.691953913090728j)),
+        (2, (-3.3123840348302664+8.060372242623828j)),
+        (3, (-3.570382527005384+8.501497684479078j)),
+        (4, (-3.8075854280841352+2.923511494048074j)),
+        (1, (-3.8521045678290298+14.005690354227603j)),
+        (2, (-3.861611574213908+14.217068421282619j)),
+        (3, (-3.9599510413636954+14.53110297767465j)),
+        (4, (-3.960657896994382+8.829554624138883j)),
+        (4, (-4.1803933515044935+14.849338508710805j)),
+        (1, (-4.221100212465073+20.311432804836638j)),
+        (2, (-4.223082499648639+20.458309653381033j)),
+        (3, (-4.270587967552665+20.69049363643533j)),
+        (5, (-4.2911757375220585+3.004085108743565j)),
+        (5, (-4.35881622474+9.029501036329297j)),
+        (4, (-4.400872349025768+20.96155003838154j)),
+        (5, (-4.473260517489034+15.096375531499207j)),
+        (1, (-4.489626884639913+26.610250169918206j)),
+        (2, (-4.48966599950033+26.722632679054744j)),
+        (3, (-4.5166189560545185+26.904592311171445j)),
+        (4, (-4.59954373210448+27.132228747147497j)),
+        (5, (-4.6092792157539595+21.209992757171637j)),
+        (6, (-4.683963463586556+3.0475656794313473j)),
+        (2, (-4.700394390104538+32.99580272593439j)),
+        (1, (-4.700949608593297+32.90482277346951j)),
+        (6, (-4.717133315658824+9.148628851749462j)),
+        (3, (-4.717400127006192+33.14477312836188j)),
+        (5, (-4.749168700534284+27.363847985530725j)),
+        (4, (-4.773770462635067+33.33822617610183j)),
+        (6, (-4.777871200407487+15.265527853150655j)),
+        (6, (-4.857656959605722+21.403675014978386j)),
+        (2, (-4.874517798274015+39.27310327706414j)),
+        (1, (-4.8752481991805885+39.1966849449255j)),
+        (5, (-4.883832045016082+33.54849586606453j)),
+        (3, (-4.886066527532083+39.39898512494943j)),
+    ],
+    (2.0, 1.5, 0.5, 2, -3.2): [
+        (1, (-1.8991739902546252+3.717394765223365j)),
+        (2, (-2.6263758317389265+4.440913761391797j)),
+    ],
+}
+
+
+@pytest.mark.parametrize("config", list(README_ROOTS))
+def test_readme_roots_frozen(config):
+    a, b, r, max_mode, floor = config
+    t = ordered_spectrum(a, b, r, max_mode, floor)
+    got = [(cr.mode, cr.multiplicity, cr.value)
+           for grp in t.groups for cr in grp]
+    want = README_ROOTS[config]
+    assert [g[:2] for g in got] == [(mode, 1) for mode, _ in want]
+    for (_, _, value), (_, ref) in zip(got, want):
+        assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 class TestSpectrumTableInvariants:

@@ -4,12 +4,16 @@ import logging
 import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
 from fdedim.cli import main
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+SRC = ROOT / "src"
 
 
 def run(argv, tmp_path, sub=""):
@@ -340,6 +344,35 @@ class TestChecksAndPipeline:
         for name in ("pipeline_report.json", "spectrum.csv",
                      "trajectory.csv", "bound_grid.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestWithoutScipy:
+    """The runtime needs numpy alone; each test runs a fresh interpreter."""
+
+    @staticmethod
+    def python(code):
+        path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import_loads_no_scipy(self):
+        done = self.python(
+            "import sys, fdedim.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path):
+        argv = (["pipeline"] + TestChecksAndPipeline.RDE
+                + ["--T", "4", "--m", "1", "--k-trials", "8",
+                   "--nonlinearity", "tanh", "--kappa", "0.05",
+                   "--transient", "2", "--output-dir", str(tmp_path)])
+        done = self.python(
+            "import sys; sys.modules['scipy'] = None; "
+            f"from fdedim.cli import main; sys.exit(main({argv!r}))")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "pipeline_report.json").exists()
 
 
 def test_run_rde_pipeline_script_runs(tmp_path):
