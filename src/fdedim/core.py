@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +120,96 @@ def hermite_basis(s):
             s * s * (3 - 2 * s), s * s * (s - 1))
 
 
+class Plan(NamedTuple):
+    """A linear read of table rows, the same for every table of one layout:
+    row k of the result is start_k + c_0k t[i_0k] + c_1k t[i_1k] +
+    c_2k t[i_2k] + c_3k t[i_3k], summed left to right (`apply_plan`).
+
+    idx: (4, N) row indices; coef: (4, N, 1) weights; start: (N, 1), -0.0
+    (which adds nothing, whatever the sign of zero it meets) or +0.0 for a
+    sum that started from 0.  The arrays are read-only.
+    """
+
+    idx: np.ndarray
+    coef: np.ndarray
+    start: np.ndarray
+
+
+def apply_plan(table: np.ndarray, plan: Plan) -> np.ndarray:
+    """(N, width): the plan's reads of a (rows, width) table, as one gather
+    and one weighted sum."""
+    p = plan.coef * table.take(plan.idx, axis=0)
+    return plan.start + p[0] + p[1] + p[2] + p[3]
+
+
+def node_table(values: np.ndarray) -> np.ndarray:
+    """The table an interpolation plan reads, (2n - 2, width) for n >= 2
+    nodes: the node values, then the central-difference slopes
+    (v[k+1] - v[k-1]) / 2 at the interior nodes k = 1 .. n - 2."""
+    return np.concatenate((values, (values[2:] - values[:-2]) / 2.0))
+
+
+@functools.lru_cache(maxsize=64)
+def interpolation_plan(r: float, n: int, theta_bytes: bytes) -> Plan:
+    """The `interpolate` reads at the float64 thetas theta_bytes, on n
+    uniform nodes over [-r, 0], as a plan into `node_table`; kept across
+    calls.  It depends on the grid's delay and node count only, so segments
+    of any width share it.  DomainError (and nothing cached) for a theta
+    outside [-r, 0].
+
+    Each branch keeps its own rounding: a node (within 1e-13 spacings) reads
+    as 1 v + 0 v + 0 v + 0 v, which is v for any finite v; the sum of
+    weight-times-node products of the end cubics starts from +0.0; the
+    Hermite cubics read the slope rows.
+    """
+    th = np.frombuffer(theta_bytes)
+    tol = 1e-12 * max(1.0, r)
+    outside = (th < -r - tol) | (th > tol)
+    if outside.any():
+        raise DomainError(f"theta={th[outside][0]} outside [-{r}, 0]")
+    x = (np.minimum(0.0, np.maximum(-r, th)) + r) / (r / (n - 1))
+    i = np.clip(np.floor(x).astype(np.intp), 0, n - 2)
+    s = x - i
+    at_lo = np.abs(s) < 1e-13
+    at_hi = ~at_lo & (np.abs(s - 1.0) < 1e-13)
+    idx = np.repeat((i + at_hi)[None], 4, axis=0)
+    coef = np.zeros((4, len(x)))
+    coef[0] = 1.0
+    start = np.full(len(x), -0.0)
+    off = ~(at_lo | at_hi)
+    if n < 4:
+        # linear: (1 - s) v[i] + s v[i+1] + 0 v[i] + 0 v[i]
+        idx[1, off] += 1
+        coef[0, off] = 1.0 - s[off]
+        coef[1, off] = s[off]
+    else:
+        # end intervals: cubic Lagrange through the 4 nearest nodes
+        end = off & ((i == 0) | (i == n - 2))
+        j0 = np.where(i[end] == 0, 0, n - 4)
+        t = x[end] - j0
+        idx[:, end] = j0 + np.arange(4)[:, None]
+        coef[:, end] = (-(t - 1) * (t - 2) * (t - 3) / 6.0,
+                        t * (t - 2) * (t - 3) / 2.0,
+                        -t * (t - 1) * (t - 3) / 2.0,
+                        t * (t - 1) * (t - 2) / 6.0)
+        start[end] = 0.0
+        # interior Hermite with central-difference slopes at nodes i, i+1
+        mid = off & ~end
+        im = i[mid]
+        idx[:, mid] = (im, n + im - 1, im + 1, n + im)
+        coef[:, mid] = hermite_basis(s[mid])
+    return frozen_plan(idx, coef, start)
+
+
+def frozen_plan(idx, coef, start) -> Plan:
+    """A Plan of (4, N) indices, (4, N) weights and (N,) starts, shaped for
+    `apply_plan` and made read-only."""
+    plan = Plan(idx, coef[..., None], start[:, None])
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def interpolate(h: HistorySegment, theta) -> np.ndarray:
     """Piecewise-cubic interpolant of the segment, exact at the nodes.
 
@@ -125,47 +217,18 @@ def interpolate(h: HistorySegment, theta) -> np.ndarray:
     the two end intervals use a cubic through the nearest four nodes (a
     one-sided linear rule cannot meet the smooth-history accuracy the
     integrator needs there).  Grids with fewer than 4 nodes fall back to
-    linear interpolation.
+    linear interpolation.  The reads are the memoised
+    `interpolation_plan` of the grid and the thetas, applied to the
+    segment's `node_table`: a second call at the same thetas, on any
+    segment of the grid, only gathers and sums.
 
     theta is a scalar (the result has shape (value_dim,)) or an array of
     any shape (the result has shape theta.shape + (value_dim,)).
     """
     g = h.grid
-    r = g.delay_r
-    n = g.num_nodes
     th = np.asarray(theta, dtype=float)
-    tol = 1e-12 * max(1.0, r)
-    outside = (th < -r - tol) | (th > tol)
-    if outside.any():
-        raise DomainError(f"theta={th[outside].flat[0]} outside [-{r}, 0]")
-    x = (np.minimum(0.0, np.maximum(-r, th)) + r).ravel() / g.spacing
-    i = np.clip(np.floor(x).astype(np.intp), 0, n - 2)
-    s = x - i
-    v = h.values
-    out = np.empty((len(x), g.value_dim))
-    at_lo = np.abs(s) < 1e-13
-    at_hi = ~at_lo & (np.abs(s - 1.0) < 1e-13)
-    out[at_lo] = v[i[at_lo]]
-    out[at_hi] = v[i[at_hi] + 1]
-    off = ~(at_lo | at_hi)
-    if n < 4:
-        sk = s[off, None]
-        out[off] = (1.0 - sk) * v[i[off]] + sk * v[i[off] + 1]
-        return out.reshape(th.shape + (g.value_dim,))
-    # end intervals: cubic Lagrange through the 4 nearest nodes
-    end = off & ((i == 0) | (i == n - 2))
-    j0 = np.where(i[end] == 0, 0, n - 4)
-    t = (x[end] - j0)[:, None]
-    w = (-(t - 1) * (t - 2) * (t - 3) / 6.0, t * (t - 2) * (t - 3) / 2.0,
-         -t * (t - 1) * (t - 3) / 2.0, t * (t - 1) * (t - 2) / 6.0)
-    out[end] = sum(wk * v[j0 + k] for k, wk in enumerate(w))
-    # interior Hermite with central-difference slopes at nodes i, i+1
-    mid = off & ~end
-    i, s = i[mid], s[mid, None]
-    m_i = (v[i + 1] - v[i - 1]) / 2.0
-    m_ip = (v[i + 2] - v[i]) / 2.0
-    h00, h10, h01, h11 = hermite_basis(s)
-    out[mid] = h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
+    plan = interpolation_plan(g.delay_r, g.num_nodes, th.tobytes())
+    out = apply_plan(node_table(h.values), plan)
     return out.reshape(th.shape + (g.value_dim,))
 
 

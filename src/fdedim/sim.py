@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (GridSpec, HistorySegment, hermite_basis, interpolate,
-                   write_csv)
+from .core import (GridSpec, HistorySegment, apply_plan, frozen_plan,
+                   hermite_basis, interpolation_plan, node_table, write_csv)
 from .errors import (ConfigError, DegeneratePairError, IntegrationError,
                      ShapeError)
 
@@ -333,28 +333,60 @@ def _rowwise(x, M):
                                                    + M.shape[1:])
 
 
-def _hermite(ys, dys, dt, taus):
-    """Cubic Hermite values at times taus >= 0 from the stored (state,
-    derivative) pairs at multiples of dt; within 1e-10 steps of a stored
-    time, the stored state itself."""
+def _hermite_plan(taus, dt, n):
+    """(indices, weights) of the cubic Hermite values at times taus >= 0,
+    read from the table [ys; dys] of the stored (state, derivative) pairs
+    at n multiples of dt: h00 y_i + h10 dt y'_i + h01 y_j + h11 dt y'_j,
+    with dt folded into the derivative weights; within 1e-10 steps of a
+    stored time, the stored state itself."""
     x = taus / dt
     i = np.floor(x).astype(np.intp)
     s = x - i
     up = s > 1.0 - 1e-10
     i = i + up
-    s = np.where(up | (s < 1e-10), 0.0, s)[:, None, None]
-    j = np.minimum(i + 1, len(ys) - 1)
+    s = np.where(up | (s < 1e-10), 0.0, s)
+    j = np.minimum(i + 1, n - 1)
     h00, h10, h01, h11 = hermite_basis(s)
-    return (h00 * ys[i] + h10 * dt * dys[i]
-            + h01 * ys[j] + h11 * dt * dys[j])
+    return (np.stack((i, n + i, j, n + j)),
+            np.stack((h00, h10 * dt, h01, h11 * dt)))
+
+
+@functools.lru_cache(maxsize=256)
+def _lookup_plan(taus_bytes: bytes, dt: float, n: int, r: float,
+                 num_nodes: int):
+    """(plan, past) for delayed reads at the float64 times taus_bytes from
+    an `_integrate` store: n stored states, n derivatives, then the
+    histories' `node_table` on num_nodes nodes over [-r, 0].  A time
+    t >= 0 reads the stored pairs by cubic Hermite; t < 0 reads the history
+    interpolant at max(t, -r); past marks the latter.  Kept across calls,
+    so a run repeating an earlier run's grid, dt and T builds no plan; the
+    arrays are read-only.
+
+    Hermite gives the stored y_0 itself for 0 <= t < 1e-10 dt, the value
+    the history interpolant gives at theta = 0, so a block that starts
+    exactly one lag after t = 0 reads no history.
+    """
+    taus = np.frombuffer(taus_bytes)
+    past = taus < 0.0
+    idx = np.empty((4, len(taus)), np.intp)
+    coef = np.empty((4, len(taus)))
+    start = np.full(len(taus), -0.0)
+    if past.any():
+        hist = interpolation_plan(r, num_nodes,
+                                  np.clip(taus[past], -r, 0.0).tobytes())
+        idx[:, past] = hist.idx + 2 * n
+        coef[:, past] = hist.coef[..., 0]
+        start[past] = hist.start[:, 0]
+    idx[:, ~past], coef[:, ~past] = _hermite_plan(taus[~past], dt, n)
+    past.setflags(write=False)
+    return frozen_plan(idx, coef, start), past
 
 
 def _history(phis, grid: GridSpec):
-    """(initial values (nodes, B, d), theta-array -> values (..., B, d))
-    for B histories, each a HistorySegment or a callable theta -> value
-    vector on [-r, 0].  The segments are interpolated side by side, as one
-    segment B*d values wide; a callable is read at the thetas themselves."""
-    n, d, B = grid.num_nodes, grid.value_dim, len(phis)
+    """(initial values (nodes, B, d), [(k, callable)]) for B histories,
+    each a HistorySegment or a callable theta -> value vector on [-r, 0];
+    a callable is sampled at the nodes here, and `_read_callables` reads it
+    at the delayed thetas themselves."""
     segs = []
     for phi in phis:
         if callable(phi):
@@ -364,23 +396,19 @@ def _history(phis, grid: GridSpec):
         else:
             segs.append(phi)
     init = np.stack([s.values for s in segs], axis=1)
-    wide = HistorySegment(replace(grid, value_dim=B * d),
-                          init.reshape(n, B * d))
-    calls = [(k, phi) for k, phi in enumerate(phis) if callable(phi)]
+    return init, [(k, phi) for k, phi in enumerate(phis) if callable(phi)]
 
-    def values(th):
-        out = interpolate(wide, th).reshape(th.shape + (B, d))
-        if calls:
-            # one call per distinct theta: the callable need not take arrays
-            uniq, inv = np.unique(th.ravel(), return_inverse=True)
-            for k, phi in calls:
-                rows = np.array([np.broadcast_to(
-                    np.asarray(phi(float(u)), dtype=float), (d,))
-                    for u in uniq])
-                out[..., k, :] = rows[inv].reshape(th.shape + (d,))
-        return out
 
-    return init, values
+def _read_callables(calls, th, out, rows_at):
+    """Overwrite member k of the rows rows_at of out (reads, B, d) with
+    callable k at the thetas th, one call per distinct theta: the callable
+    need not take arrays."""
+    uniq, inv = np.unique(th, return_inverse=True)
+    for k, phi in calls:
+        rows = np.array([np.broadcast_to(
+            np.asarray(phi(float(u)), dtype=float), (out.shape[-1],))
+            for u in uniq])
+        out[rows_at, k] = rows[inv]
 
 
 def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
@@ -393,8 +421,14 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     run is cut into such chunks when nothing is delayed), so every delayed
     read of a block lands in steps already resolved or in the initial
     histories: the forcing of all its stage times, for the whole batch,
-    comes from one call through one vectorized lookup (cubic Hermite on the
-    stored (y, y') pairs for t >= 0, the history interpolant for t < 0).
+    comes from one call through one lookup.  The states, their derivatives
+    and the histories' `node_table` share one store, and every delayed
+    read (cubic Hermite on the stored (y, y') pairs for t >= 0, the history
+    interpolant for t < 0) is a fixed linear read of it: a lookup is one
+    gather and one weighted sum with the weights of its `_lookup_plan`,
+    memoised on the read times, dt, the run length and the grid, so runs
+    that repeat a grid, dt and T share their plans.  Callable histories
+    are then read at the thetas themselves.
     Each member's states then come from one vector-matrix product of its
     row [y_0, forcing at the stage times] with the block's transfer
     operator (`_transfer`), which starts from the last state of the block
@@ -403,28 +437,28 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     trajectory is bitwise equal to its own run as a batch of one.  phis:
     list of HistorySegment or callable theta -> value vector on [-r, 0].
     """
-    r, d, B = grid.delay_r, grid.value_dim, len(phis)
-    steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
+    r, n, d, B = grid.delay_r, grid.num_nodes, grid.value_dim, len(phis)
+    steps_per_node, _ = _check_steps(r, n, dt)
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T) or n_steps < 1:
         raise ConfigError(f"T={T} must be a positive multiple of dt={dt}")
-    init, history = _history(phis, grid)
+    init, calls = _history(phis, grid)
 
-    ys = np.zeros((n_steps + 1, B, d))
-    dys = np.zeros((n_steps + 1, B, d))
+    # [ys; dys; node_table of the histories], ys and dys viewed (n_steps + 1,
+    # B, d): the one table every delayed read gathers from
+    store = np.concatenate((np.zeros((2 * (n_steps + 1), B * d)),
+                            node_table(init.reshape(n, B * d))))
+    ys = store[:n_steps + 1].reshape(n_steps + 1, B, d)
+    dys = store[n_steps + 1:2 * (n_steps + 1)].reshape(n_steps + 1, B, d)
     ys[0] = init[-1]
 
     def lookup(taus):
-        out = np.empty(taus.shape + (B, d))
-        # Hermite gives the stored y_0 itself for 0 <= tau < 1e-10 dt, the
-        # value the history interpolant gives at theta = 0, so a block that
-        # starts exactly one lag after t = 0 reads no history
-        past = taus < 0.0
-        if past.any():
-            out[past] = history(np.clip(taus[past], -r, 0.0))
-        if not past.all():
-            out[~past] = _hermite(ys, dys, dt, taus[~past])
-        return out
+        plan, past = _lookup_plan(taus.tobytes(), dt, n_steps + 1, r, n)
+        out = apply_plan(store, plan).reshape(-1, B, d)
+        if calls and past.any():
+            _read_callables(calls, np.clip(taus.ravel()[past], -r, 0.0),
+                            out, past)
+        return out.reshape(taus.shape + (B, d))
 
     # step k runs from node_t[k] through mid_t[k] to node_t[k + 1]
     steps = np.arange(n_steps) * dt

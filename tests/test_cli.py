@@ -306,6 +306,24 @@ class TestChecksAndPipeline:
             for cell in row:
                 assert cell == "" or isinstance(float(cell), float)
 
+    def test_pipeline_warning_names_converging_pair(self, tmp_path, caplog):
+        # the demo's estimate exceeds its bound; the warning blames the
+        # converging pair at the probed scales, not a short transient
+        with caplog.at_level(logging.WARNING, logger="fdedim.cli"):
+            code, out = run(["pipeline"] + self.RDE
+                            + ["--T", "4", "--m", "1", "--k-trials", "8",
+                               "--nonlinearity", "tanh", "--kappa", "0.05",
+                               "--transient", "2"], tmp_path)
+        assert code == 0
+        rep = json.loads((out / "pipeline_report.json").read_text())
+        assert (rep["attractor"]["box_dimension"]["estimate"]
+                > rep["hausdorff"]["bound"])
+        (message,) = [r.getMessage() for r in caplog.records
+                      if "Hausdorff bound" in r.getMessage()]
+        assert "two trajectories still converging" in message
+        assert "trace curves at the box sizes probed" in message
+        assert "transient tail" not in message
+
     @pytest.mark.parametrize("verb", [["pipeline"],
                                       ["squeeze-check", "--t0", "1"]])
     def test_zero_k_trials_exit_2(self, tmp_path, verb, capsys):

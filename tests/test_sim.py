@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from fdedim.bounds import (SqueezeConstants, absorbing_entry_time,
                            absorbing_radius, rde_absorbing_envelope)
 from fdedim.charroots import mode_roots, ordered_spectrum
-from fdedim.core import (GridSpec, HistorySegment, interpolate,
-                         random_smooth_segment, sup_norm)
-from fdedim.errors import (ConfigError, DegeneratePairError,
+from fdedim.core import (GridSpec, HistorySegment, apply_plan,
+                         hermite_basis, interpolate, interpolation_plan,
+                         node_table, random_smooth_segment, sup_norm)
+from fdedim.errors import (ConfigError, DegeneratePairError, DomainError,
                            IntegrationError, ShapeError)
 from fdedim import sim
 from fdedim.sim import (BLOWUP_NORM, NonlinearitySpec, RDEParams, RFDEParams,
@@ -1083,3 +1085,380 @@ class TestTransferOperatorMatchesLoop:
                              1.0, dt)
         _assert_close(traj.states, ref, rel=1e-13)
         assert built == [((2 * 4 + 2) * 40, 4 * 40)]
+
+
+# ---------------------------------------------------------------------------
+# Lookup plans against the direct lookups they replace
+# ---------------------------------------------------------------------------
+
+def _ref_array_interpolate(h, theta):
+    """`core.interpolate` as it was before its reads became a plan: every
+    branch worked out from theta on each call."""
+    g = h.grid
+    r = g.delay_r
+    n = g.num_nodes
+    th = np.asarray(theta, dtype=float)
+    tol = 1e-12 * max(1.0, r)
+    outside = (th < -r - tol) | (th > tol)
+    if outside.any():
+        raise DomainError(f"theta={th[outside].flat[0]} outside [-{r}, 0]")
+    x = (np.minimum(0.0, np.maximum(-r, th)) + r).ravel() / g.spacing
+    i = np.clip(np.floor(x).astype(np.intp), 0, n - 2)
+    s = x - i
+    v = h.values
+    out = np.empty((len(x), g.value_dim))
+    at_lo = np.abs(s) < 1e-13
+    at_hi = ~at_lo & (np.abs(s - 1.0) < 1e-13)
+    out[at_lo] = v[i[at_lo]]
+    out[at_hi] = v[i[at_hi] + 1]
+    off = ~(at_lo | at_hi)
+    if n < 4:
+        sk = s[off, None]
+        out[off] = (1.0 - sk) * v[i[off]] + sk * v[i[off] + 1]
+        return out.reshape(th.shape + (g.value_dim,))
+    # end intervals: cubic Lagrange through the 4 nearest nodes
+    end = off & ((i == 0) | (i == n - 2))
+    j0 = np.where(i[end] == 0, 0, n - 4)
+    t = (x[end] - j0)[:, None]
+    w = (-(t - 1) * (t - 2) * (t - 3) / 6.0, t * (t - 2) * (t - 3) / 2.0,
+         -t * (t - 1) * (t - 3) / 2.0, t * (t - 1) * (t - 2) / 6.0)
+    out[end] = sum(wk * v[j0 + k] for k, wk in enumerate(w))
+    # interior Hermite with central-difference slopes at nodes i, i+1
+    mid = off & ~end
+    i, s = i[mid], s[mid, None]
+    m_i = (v[i + 1] - v[i - 1]) / 2.0
+    m_ip = (v[i + 2] - v[i]) / 2.0
+    h00, h10, h01, h11 = hermite_basis(s)
+    out[mid] = h00 * v[i] + h10 * m_i + h01 * v[i + 1] + h11 * m_ip
+    return out.reshape(th.shape + (g.value_dim,))
+
+
+def _ref_hermite(ys, dys, dt, taus):
+    """`sim._hermite` as it was before its reads became a plan."""
+    x = taus / dt
+    i = np.floor(x).astype(np.intp)
+    s = x - i
+    up = s > 1.0 - 1e-10
+    i = i + up
+    s = np.where(up | (s < 1e-10), 0.0, s)[:, None, None]
+    j = np.minimum(i + 1, len(ys) - 1)
+    h00, h10, h01, h11 = hermite_basis(s)
+    return (h00 * ys[i] + h10 * dt * dys[i]
+            + h01 * ys[j] + h11 * dt * dys[j])
+
+
+def _ref_history(phis, grid):
+    """`sim._history` as it was: the segments read side by side through
+    the direct interpolant, a callable at the thetas themselves."""
+    n, d, B = grid.num_nodes, grid.value_dim, len(phis)
+    segs = [HistorySegment.from_function(grid, phi) if callable(phi)
+            else phi for phi in phis]
+    init = np.stack([s.values for s in segs], axis=1)
+    wide = HistorySegment(replace(grid, value_dim=B * d),
+                          init.reshape(n, B * d))
+    calls = [(k, phi) for k, phi in enumerate(phis) if callable(phi)]
+
+    def values(th):
+        out = _ref_array_interpolate(wide, th).reshape(th.shape + (B, d))
+        if calls:
+            uniq, inv = np.unique(th.ravel(), return_inverse=True)
+            for k, phi in calls:
+                rows = np.array([np.broadcast_to(
+                    np.asarray(phi(float(u)), dtype=float), (d,))
+                    for u in uniq])
+                out[..., k, :] = rows[inv].reshape(th.shape + (d,))
+        return out
+
+    return init, values
+
+
+def _ref_lookup(ys, dys, dt, history, r, taus):
+    """The block lookup as it was: the past/stored split of every call."""
+    out = np.empty(taus.shape + ys.shape[1:])
+    past = taus < 0.0
+    if past.any():
+        out[past] = history(np.clip(taus[past], -r, 0.0))
+    if not past.all():
+        out[~past] = _ref_hermite(ys, dys, dt, taus[~past])
+    return out
+
+
+def _ref_block_integrate(split, phis, grid, T, dt):
+    """`sim._integrate` as it was before its lookups became plans, with the
+    lookups above; the state arrays of its trajectories."""
+    r, d, B = grid.delay_r, grid.value_dim, len(phis)
+    steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
+    n_steps = round(T / dt)
+    init, history = _ref_history(phis, grid)
+    ys = np.zeros((n_steps + 1, B, d))
+    dys = np.zeros((n_steps + 1, B, d))
+    ys[0] = init[-1]
+
+    def lookup(taus):
+        return _ref_lookup(ys, dys, dt, history, r, taus)
+
+    steps = np.arange(n_steps) * dt
+    node_t = np.concatenate(([0.0], steps + dt))
+    mid_t = steps + dt / 2
+    nb = min(n_steps, sim._BLOCK_STEPS, max(1, sim._BLOCK_WIDTH // d))
+    if split.lags:
+        nb = max(1, min(nb, math.floor(min(split.lags) / dt + 1e-12)))
+    L = split.linear
+    for k0 in range(0, n_steps, nb):
+        m = min(nb, n_steps - k0)
+        stage_t = np.concatenate((node_t[k0:k0 + m + 1], mid_t[k0:k0 + m]))
+        rows = np.empty((B, 2 * m + 2, d))
+        rows[:, 0] = ys[k0]
+        g = rows[:, 1:].transpose(1, 0, 2)
+        g[...] = split.forcing(stage_t, lookup)
+        if callable(L):
+            Lt = L(stage_t)
+            L_node = Lt[:m + 1, None]
+            TG = _transfer(_step_operator(dt, Lt[:m], Lt[m + 1:],
+                                          Lt[1:m + 1]))
+        else:
+            L_node = L
+            TG = _constant_transfer(L.tobytes(), d, dt, m)
+        Y = rows.reshape(B, 1, -1) @ TG
+        ys[k0 + 1:k0 + m + 1] = Y.reshape(B, m, d).transpose(1, 0, 2)
+        dys[k0:k0 + m + 1] = ((L_node @ ys[k0:k0 + m + 1, ..., None])[..., 0]
+                              + g[:m + 1])
+    samples = ys[::steps_per_node]
+    return [np.concatenate([init[:-1, k], samples[:, k]]) for k in range(B)]
+
+
+def _several_delays(lag_steps, num_nodes, dim, seed):
+    """(split, grid, dt) of an RFDE with delays 0, lag_steps * dt, 0.3
+    and r = 0.5 and a tanh nonlinearity."""
+    grid = GridSpec(delay_r=0.5, num_nodes=num_nodes, value_dim=dim,
+                    value_norm="euclidean")
+    dt = grid.spacing / 4.0
+    delays = (0.0, lag_steps * dt, 0.3, 0.5)
+    rng = np.random.default_rng(seed)
+    mats = tuple(rng.uniform(-1.0, 1.0, (dim, dim)) for _ in delays)
+    params = RFDEParams(matrices=mats, delays=delays, r=0.5,
+                        nonlinearity=NonlinearitySpec(kind="tanh",
+                                                      kappa=0.3))
+    return sim._rfde_split(params, grid, 0.0), grid, dt
+
+
+def _assert_planned_is_reference(split, phis, grid, T, dt):
+    """Every member of the planned integrator bitwise equal to the
+    reference, with the memo cold and then warm."""
+    ref = _ref_block_integrate(split, phis, grid, T, dt)
+    sim._lookup_plan.cache_clear()
+    for _ in range(2):
+        for traj, states in zip(sim._integrate(split, phis, grid, T, dt),
+                                ref):
+            assert traj.states.tobytes() == states.tobytes()
+
+
+def _signed_zero_values(rng, shape):
+    """Normal draws with about a third of them +0.0 and a third -0.0."""
+    v = rng.standard_normal(shape)
+    pick = rng.integers(0, 3, shape)
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, v))
+
+
+class TestLookupPlansBitwise:
+    @given(num_nodes=st.sampled_from([2, 3, 4, 5, 6, 9, 12, 15, 31]),
+           dim=st.integers(1, 3), r=st.sampled_from([0.7, 1.0, 0.5, 2.3]),
+           seed=st.integers(0, 10_000), zeros=st.booleans(),
+           shape=st.sampled_from([(), (7,), (3, 4)]))
+    @settings(max_examples=80, deadline=None)
+    def test_interpolate(self, num_nodes, dim, r, seed, zeros, shape):
+        # random points, nodes, points within 1e-14 of a node, both ends;
+        # with zeros, a third of the node values are +0.0 and a third -0.0
+        g = GridSpec(delay_r=r, num_nodes=num_nodes, value_dim=dim)
+        rng = np.random.default_rng(seed)
+        size = (num_nodes, dim)
+        h = HistorySegment(g, _signed_zero_values(rng, size) if zeros
+                           else rng.standard_normal(size))
+        nodes = rng.choice(g.nodes(), size=shape)
+        theta = np.where(rng.random(shape) < 0.5, -r * rng.random(shape),
+                         np.clip(nodes + rng.choice([-1e-14, 0.0, 1e-14],
+                                                    size=shape), -r, 0.0))
+        if shape:
+            theta.flat[0], theta.flat[-1] = -r, 0.0
+        new = interpolate(h, theta)
+        ref = _ref_array_interpolate(h, theta)
+        assert new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()
+
+    def test_end_cubic_sum_starts_from_plus_zero(self):
+        # the first interval's weights have signs (+, +, -, +): with these
+        # zeros every product is -0.0, and the sum from 0 gives +0.0
+        g = GridSpec(delay_r=1.0, num_nodes=9, value_dim=1)
+        h = HistorySegment(g, np.array([[-0.0], [-0.0], [0.0], [-0.0],
+                                        [0.0], [0.0], [0.0], [0.0],
+                                        [0.0]]))
+        theta = np.array([-0.95, -1.0, -0.875])
+        new = interpolate(h, theta)
+        ref = _ref_array_interpolate(h, theta)
+        assert new.tobytes() == ref.tobytes()
+        assert math.copysign(1.0, new[0, 0]) == 1.0
+        assert math.copysign(1.0, new[1, 0]) == -1.0
+
+    @given(grid_dt=st.sampled_from([(1.0, 31, 1 / 60), (0.7, 15, 0.025),
+                                    (0.5, 2, 0.125), (0.5, 3, 0.0625),
+                                    (1.0, 33, 1 / 64)]),
+           size=st.integers(1, 3), dim=st.integers(1, 3),
+           kernel_like=st.booleans(), zeros=st.booleans(),
+           slope_scale=st.sampled_from([1.0, 1e4]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_lookup(self, grid_dt, size, dim, kernel_like, zeros,
+                    slope_scale, seed):
+        # reads before, at and after t = 0 from one store: the history
+        # interpolant, stored steps, stage midpoints and off-step times;
+        # with slope_scale 1e4 the derivative terms dominate each sum, so
+        # that their weights' last bits show in it
+        r, num_nodes, dt = grid_dt
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(delay_r=r, num_nodes=num_nodes, value_dim=dim)
+        n = 40
+        draw = (lambda s: _signed_zero_values(rng, s)) if zeros else (
+            rng.standard_normal)
+        ys, dys = draw((n, size, dim)), slope_scale * draw((n, size, dim))
+        init = draw((num_nodes, size, dim))
+        wide = HistorySegment(replace(grid, value_dim=size * dim),
+                              init.reshape(num_nodes, -1))
+        history = (lambda th: _ref_array_interpolate(wide, th).reshape(
+            th.shape + (size, dim)))
+        k = rng.integers(-n // 2, n - 1, 12)
+        taus = np.concatenate((k * dt, (k + 0.5) * dt, (k + 1e-12) * dt,
+                               (k - 1e-12) * dt,
+                               rng.uniform(-r, (n - 1) * dt, 6),
+                               [0.0, -r, (n - 1) * dt]))
+        if kernel_like:
+            # the kernel RFDE's times[:, None] + past reads
+            taus = taus[:9, None] + grid.nodes()[:-1]
+        store = np.concatenate((ys, dys)).reshape(2 * n, -1)
+        store = np.concatenate((store, node_table(wide.values)))
+        plan, past = sim._lookup_plan(taus.tobytes(), dt, n, r, num_nodes)
+        new = apply_plan(store, plan).reshape(taus.shape + (size, dim))
+        ref = _ref_lookup(ys, dys, dt, history, r, taus)
+        assert new.tobytes() == ref.tobytes()
+        assert np.array_equal(past, (taus < 0.0).ravel())
+
+    @given(case=st.sampled_from([(1.0, 31, 1 / 60), (0.7, 15, 0.025),
+                                 (0.5, 2, 0.125), (0.5, 3, 0.0625)]),
+           num_modes=st.integers(1, 3), kappa=tanh_gain,
+           b=st.sampled_from([0.0, 0.3]), size=st.integers(1, 3),
+           callables=st.integers(0, 7), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_rde(self, case, num_modes, kappa, b, size, callables, seed):
+        # non-dyadic steps (1/60, 0.025) and 2- and 3-node grids, whose
+        # history reads take the linear fallback
+        r, num_nodes, dt = case
+        params = RDEParams(a=1.0, b=b, r=r, num_modes=num_modes,
+                           nonlinearity=NonlinearitySpec(kind="tanh",
+                                                         kappa=kappa))
+        grid = rde_grid(params, num_nodes)
+        T = round(2.5 * r / dt) * dt
+        _assert_planned_is_reference(
+            sim._rde_split(params),
+            _batch_histories(grid, seed, size, callables), grid, T, dt)
+
+    @given(lag_steps=st.sampled_from([1.0, 2.37, 2.5]),
+           num_nodes=st.sampled_from([3, 9]), dim=st.integers(1, 2),
+           size=st.integers(1, 3), callables=st.integers(0, 7),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_rfde_several_delays(self, lag_steps, num_nodes, dim, size,
+                                 callables, seed):
+        # a lag off the step grid (2.37 steps) and one at 0.3: blocks that
+        # read the history and the stored steps in one call
+        split, grid, dt = _several_delays(lag_steps, num_nodes, dim, seed)
+        _assert_planned_is_reference(
+            split, _batch_histories(grid, seed, size, callables), grid, 1.5,
+            dt)
+
+    def test_straddling_block_reads_both(self, monkeypatch):
+        mixed = []
+        memo = sim._lookup_plan
+
+        def recording(*key):
+            plan, past = memo(*key)
+            mixed.append(0 < past.sum() < len(past))
+            return plan, past
+
+        recording.cache_clear = memo.cache_clear
+        monkeypatch.setattr(sim, "_lookup_plan", recording)
+        split, grid, dt = _several_delays(2.37, 9, 2, 5)
+        _assert_planned_is_reference(
+            split, _batch_histories(grid, 5, 2, 2), grid, 1.5, dt)
+        assert any(mixed) and not all(mixed)
+
+    @given(sigma=st.sampled_from([0.0, 0.7]), size=st.integers(1, 2),
+           callables=st.integers(0, 3), seed=st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_rfde_kernel(self, sigma, size, callables, seed):
+        # the distributed kernel reads lookup(times[:, None] + past), 2-D
+        grid = GridSpec(delay_r=0.5, num_nodes=9, value_dim=2,
+                        value_norm="euclidean")
+        M = np.array([[-1.0, 0.4], [0.2, -0.5]])
+
+        def kern(t, th):
+            return 0.5 * math.exp(th) * (1.0 + 0.5 * math.sin(t)) * M
+
+        params = RFDEParams(matrices=(-0.5 * np.eye(2), 0.3 * M),
+                            delays=(0.0, 0.25), r=0.5, kernel=kern,
+                            nonlinearity=NonlinearitySpec(kind="tanh",
+                                                          kappa=0.2))
+        _assert_planned_is_reference(
+            sim._rfde_split(params, grid, sigma),
+            _batch_histories(grid, seed, size, callables), grid, 1.0,
+            grid.spacing / 2.0)
+
+
+class TestLookupPlanMemo:
+    def test_run_length_is_in_the_key(self):
+        # the same grid and dt read the same first-block times at both
+        # lengths, but the derivative rows sit at another offset
+        params = RDEParams(a=1.0, b=0.3, r=0.5, num_modes=2,
+                           nonlinearity=NonlinearitySpec(kind="tanh",
+                                                         kappa=0.2))
+        grid = rde_grid(params, 9)
+        dt = grid.spacing / 2.0
+        phi = random_smooth_segment(grid, np.random.default_rng(3))
+        sim._lookup_plan.cache_clear()
+        warm = {T: simulate_rde(params, phi, T, dt) for T in (1.5, 2.5)}
+        for T, traj in warm.items():
+            sim._lookup_plan.cache_clear()
+            cold = simulate_rde(params, phi, T, dt)
+            assert cold.states.tobytes() == traj.states.tobytes()
+
+    def test_plans_are_read_only(self):
+        taus = np.array([-0.3, -0.05, 0.0, 0.01, 0.2])
+        plan, past = sim._lookup_plan(taus.tobytes(), 0.01, 30, 0.5, 9)
+        hist = interpolation_plan(0.5, 9, taus[:2].tobytes())
+        for a in (*plan, past, *hist):
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
+    def test_out_of_range_theta_caches_nothing(self):
+        h = HistorySegment.zero(scalar_grid())
+        before = interpolation_plan.cache_info()
+        with pytest.raises(DomainError):
+            interpolate(h, np.array([-0.5, 0.25]))
+        after = interpolation_plan.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses + 1
+
+    def test_memos_stay_bounded(self):
+        # more distinct grids than either memo holds
+        sweep = sim._lookup_plan.cache_info().maxsize + 8
+        assert sweep > interpolation_plan.cache_info().maxsize
+        params = RFDEParams(matrices=(-np.eye(1), 0.5 * np.eye(1)),
+                            delays=(0.0, 0.25), r=0.5)
+        for k in range(sweep):
+            grid = scalar_grid(r=0.5, n=3 + k % 5)
+            dt = grid.spacing / (1 + k // 5)
+            traj = simulate_rfde(params, lambda th: 1.0, 0.0, 2 * dt,
+                                 dt, grid=grid)
+            assert np.isfinite(traj.states).all()
+        for memo in (sim._lookup_plan, interpolation_plan):
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
+        assert sim._lookup_plan.cache_info().misses >= sweep
