@@ -5,7 +5,8 @@ constants (M1, M2, M3, lambda0, lambda1, Lambda, t0): the contraction
 factors eta and zeta, the Hausdorff and fractal bounds they yield, the
 alpha-free limit variants, the specialization constants for the two model
 classes (scalar retarded reaction-diffusion and abstract retarded
-functional equations), and absorbing-set radii/envelopes.
+functional equations), absorbing-set radii, and the reaction-diffusion
+absorbing envelope, which Halanay's inequality gives from the equation.
 
 The pullback-attractor bounds are the same formulas with s0 in place of
 t0, so one set of functions serves both.  The (alpha, t0) optimizer scans
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charroots import SpectrumTable
+from .charroots import SpectrumTable, rightmost_real_part_bound
 from .core import write_csv
 from .errors import ConfigError, DomainError
 
@@ -290,17 +291,25 @@ def absorbing_entry_time(K0: float, gamma: float, L_f: float, f0: float,
     return math.log(num / den) / gamma
 
 
-def rde_absorbing_envelope(t: float, phi_norm: float, a: float, L_f: float,
-                           delta: float, c1: float, r: float) -> float:
-    """Decay envelope
-    c1 e^{dr}/(a - L_f e^{dr}) + e^{dr}(|phi| - c1/(a - L_f e^{dr})) e^{(L_f e^{dr} - a) t}."""
-    if not delta > a:
-        raise DomainError(f"need delta > a, got delta={delta}, a={a}")
-    edr = math.exp(delta * r)
-    gap = a - L_f * edr
-    if gap == 0.0:
-        raise DomainError("degenerate envelope: a == L_f * e^{delta r}")
-    return c1 * edr / gap + edr * (phi_norm - c1 / gap) * math.exp(-gap * t)
+def rde_halanay(a: float, b: float, L_f: float, c1: float,
+                r: float) -> tuple[float, float]:
+    """(gamma, R) of Halanay's inequality (Halanay 1966) for v = ||y(t)||,
+    D+v <= -(1 + a) v + (b + L_f) sup_{[t-r, t]} v + c1, which gives
+    v(t) <= R + (|phi| - R)^+ e^{-gamma t}: R = c1 / (1 + a - b - L_f) and
+    gamma > 0 solves gamma = (1 + a) - (b + L_f) e^{gamma r}."""
+    c, q = 1.0 + a, b + L_f
+    if not q < c:
+        raise DomainError(f"need b + L_f < 1 + a, got {q!r} >= {c!r}")
+    return -rightmost_real_part_bound(c, q, r), c1 / (c - q)
+
+
+def rde_absorbing_envelope(t, phi_norm: float, a: float, b: float,
+                           L_f: float, c1: float, r: float):
+    """R + (|phi| - R)^+ e^{-gamma (t - r)^+} at a time or array t: the
+    window sup-norm lags rde_halanay's pointwise bound by r."""
+    gamma, R = rde_halanay(a, b, L_f, c1, r)
+    lag = np.maximum(np.asarray(t, dtype=float) - r, 0.0)
+    return R + max(phi_norm - R, 0.0) * np.exp(-gamma * lag)
 
 
 # ---------------------------------------------------------------------------

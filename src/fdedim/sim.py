@@ -591,12 +591,12 @@ def _simpson_weights(n: int) -> np.ndarray:
         raise ConfigError("quadrature needs >= 2 nodes")
     w = np.zeros(n)
     intervals = n - 1
-    pairs = intervals // 2
-    for p in range(pairs):
-        i = 2 * p
-        w[i] += 1.0 / 3.0
-        w[i + 1] += 4.0 / 3.0
-        w[i + 2] += 1.0 / 3.0
+    p = intervals // 2
+    if p:
+        # interior even nodes end two Simpson pairs, odd nodes are midpoints
+        w[:2 * p + 1:2] = 2.0 / 3.0
+        w[1:2 * p:2] = 4.0 / 3.0
+        w[0] = w[2 * p] = 1.0 / 3.0
     if intervals % 2 == 1:
         w[-2] += 0.5
         w[-1] += 0.5

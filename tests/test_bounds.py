@@ -14,7 +14,7 @@ from fdedim.bounds import (BoundReport, OptimizeResult, SqueezeConstants,
                            bound_grid_csv, bound_report, eta, fractal_bound,
                            fractal_bound_alpha_free, hausdorff_bound,
                            hausdorff_bound_alpha_free, optimize_bound,
-                           rde_absorbing_envelope, rde_constants,
+                           rde_absorbing_envelope, rde_constants, rde_halanay,
                            rfde_constants, zeta)
 from fdedim.charroots import ordered_spectrum
 from fdedim.core import write_json
@@ -499,29 +499,43 @@ class TestAbsorbing:
         assert times[1] - times[0] == pytest.approx(math.log(10.0))
 
     def test_envelope_linear_homogeneous(self):
-        # c1 = 0, L_f = 0: pure exponential decay
-        val = rde_absorbing_envelope(2.0, 10.0, 3.0, 0.0, 3.1, 0.0, 0.2)
-        assert val == pytest.approx(
-            math.exp(3.1 * 0.2) * 10.0 * math.exp(-3.0 * 2.0))
+        # c1 = 0, b = L_f = 0: y_1' = -(1 + a) y_1, so gamma = 1 + a and the
+        # window sup-norm decays from |phi| after the lag r
+        val = rde_absorbing_envelope(2.0, 10.0, 3.0, 0.0, 0.0, 0.0, 0.2)
+        assert val == pytest.approx(10.0 * math.exp(-4.0 * 1.8), rel=1e-12)
 
     def test_envelope_long_time_limit(self):
-        a, L_f, delta, c1, r = 3.0, 0.5, 3.1, 1.0, 0.2
-        edr = math.exp(delta * r)
-        limit = c1 * edr / (a - L_f * edr)
-        assert rde_absorbing_envelope(200.0, 10.0, a, L_f, delta, c1,
-                                      r) == pytest.approx(limit)
+        a, b, L_f, c1, r = 3.0, 0.3, 0.5, 1.0, 0.2
+        limit = c1 / (1.0 + a - b - L_f)
+        assert rde_absorbing_envelope(200.0, 10.0, a, b, L_f, c1,
+                                      r) == pytest.approx(limit, rel=1e-12)
+        # a history inside the radius stays under the radius
+        assert rde_absorbing_envelope(0.0, 0.1, a, b, L_f, c1,
+                                      r) == pytest.approx(limit, rel=1e-12)
 
     def test_envelope_direct_evaluation(self):
-        a, L_f, delta, c1, r, phi, t = 3.0, 0.5, 3.1, 1.0, 0.2, 10.0, 2.0
-        edr = math.exp(delta * r)
-        gap = a - L_f * edr
-        expect = c1 * edr / gap + edr * (phi - c1 / gap) * math.exp(-gap * t)
-        assert rde_absorbing_envelope(t, phi, a, L_f, delta, c1,
-                                      r) == pytest.approx(expect, rel=1e-12)
+        a, b, L_f, c1, r, phi = 3.0, 0.3, 0.5, 1.0, 0.2, 10.0
+        gamma, R = rde_halanay(a, b, L_f, c1, r)
+        # gamma is the Halanay rate: gamma = (1 + a) - (b + L_f) e^{gamma r}
+        assert gamma > 0
+        assert gamma == pytest.approx(
+            1.0 + a - (b + L_f) * math.exp(gamma * r), rel=1e-12)
+        assert R == pytest.approx(c1 / (1.0 + a - b - L_f), rel=1e-15)
+        t = np.array([0.0, 0.1, 0.2, 2.0])
+        env = rde_absorbing_envelope(t, phi, a, b, L_f, c1, r)
+        expect = R + (phi - R) * np.exp(-gamma * np.maximum(t - r, 0.0))
+        np.testing.assert_allclose(env, expect, rtol=1e-12)
+        # the window still holds phi for t <= r
+        np.testing.assert_allclose(env[:3], phi, rtol=4e-16)
+        assert env[3] == rde_absorbing_envelope(2.0, phi, a, b, L_f, c1, r)
 
-    def test_envelope_needs_delta_above_a(self):
+    def test_envelope_needs_dissipation(self):
+        # applies iff b + L_f < 1 + a
         with pytest.raises(DomainError):
-            rde_absorbing_envelope(1.0, 1.0, 3.0, 0.5, 2.9, 1.0, 0.2)
+            rde_absorbing_envelope(1.0, 1.0, 1.0, 1.5, 0.5, 1.0, 0.2)
+        with pytest.raises(DomainError):
+            rde_halanay(1.0, 1.9, 0.2, 1.0, 2.0)
+        assert rde_halanay(1.0, 1.5, 0.4, 1.0, 0.2)[0] > 0
 
 
 def test_report_json_roundtrip():

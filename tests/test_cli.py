@@ -1,15 +1,20 @@
 import csv
 import json
 import logging
+import math
 import os
 import pathlib
 import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fdedim.cli import main
+from fdedim.bounds import rde_halanay
+from fdedim.cli import _initial_segment, main
+from fdedim.core import sup_norm
+from fdedim.sim import RDEParams, rde_grid, simulate_rde
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -250,7 +255,7 @@ class TestChecksAndPipeline:
         code, out = run(["absorbing-check", "--a", "3", "--b", "0.3",
                          "--r", "0.2", "--num-modes", "2",
                          "--num-nodes", "17", "--T", "3",
-                         "--dt", "0.00625", "--delta", "3.1",
+                         "--dt", "0.00625",
                          "--nonlinearity", "affine_tanh", "--kappa", "0.5",
                          "--offset", "0.1", "--seed", "5"], tmp_path)
         assert code == 0
@@ -362,6 +367,71 @@ class TestChecksAndPipeline:
         for name in ("pipeline_report.json", "spectrum.csv",
                      "trajectory.csv", "bound_grid.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestAbsorbingCheck:
+    """The Halanay envelope needs no knob: --delta and --radius are gone."""
+
+    # b - a = 0.9 < 1 is valid; the old delta envelope claimed to apply here
+    STRONG_DELAY = ["absorbing-check", "--a", "1", "--b", "1.9",
+                    "--r", "2", "--num-modes", "2", "--num-nodes", "17",
+                    "--T", "6", "--dt", "0.03125", "--seed", "4"]
+
+    @staticmethod
+    def _old_envelope(t, phi_norm, a, L_f, delta, c1, r):
+        # the removed delta envelope, verbatim, which left out b
+        edr = math.exp(delta * r)
+        gap = a - L_f * edr
+        return c1 * edr / gap + edr * (phi_norm - c1 / gap) * math.exp(-gap * t)
+
+    def test_strong_delay_holds(self, tmp_path):
+        code, out = run(self.STRONG_DELAY, tmp_path)
+        assert code == 0
+        rep = json.loads((out / "absorbing_report.json").read_text())
+        assert rep["envelope_applicable"]
+        assert rep["envelope_violations"] == 0
+        # the same trajectory broke the old envelope at delta = 1.01
+        params = RDEParams(a=1.0, b=1.9, r=2.0, num_modes=2)
+        phi = _initial_segment(rde_grid(params, 17), 4, 1.0)
+        traj = simulate_rde(params, phi, 6.0, 0.03125)
+        assert len(traj.norms()) == rep["num_samples"]
+        old = [self._old_envelope(t, sup_norm(phi), 1.0, 0.0, 1.01, 0.0, 2.0)
+               for t in traj.sample_times()]
+        assert np.sum(traj.norms() > np.array(old)) > 0
+
+    def test_report_has_rate_and_radius(self, tmp_path):
+        code, out = run(self.STRONG_DELAY + ["--b", "0.3", "--nonlinearity",
+                                      "affine_tanh", "--kappa", "0.5",
+                                      "--offset", "0.1"], tmp_path)
+        assert code == 0
+        rep = json.loads((out / "absorbing_report.json").read_text())
+        assert "delta" not in rep
+        gamma, R = rde_halanay(1.0, 0.3, 0.5, rep["c1"], 2.0)
+        assert (rep["rate"], rep["radius"]) == (gamma, R)
+        assert rep["absorbing"]["radius"] == R + 1e-9
+        assert rep["envelope_violations"] == 0
+
+    def test_not_applicable_without_dissipation(self, tmp_path):
+        # b + L_f = 2.1 >= 1 + a = 2
+        code, out = run(self.STRONG_DELAY + ["--nonlinearity", "tanh",
+                                      "--kappa", "0.2"], tmp_path)
+        assert code == 0
+        rep = json.loads((out / "absorbing_report.json").read_text())
+        assert not rep["envelope_applicable"]
+        assert "rate" not in rep and "absorbing" not in rep
+
+    @pytest.mark.parametrize("flag", ["--delta", "--radius"])
+    def test_removed_flags_exit_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(self.STRONG_DELAY + [flag, "3.1"], tmp_path)
+        assert exc.value.code == 2
+
+    def test_removed_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 3.1}))
+        code, _ = run(self.STRONG_DELAY + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 class TestWithoutScipy:

@@ -140,12 +140,36 @@ class TestSimulateRde:
         rng = np.random.default_rng(50)
         phi = 3.0 * random_smooth_segment(grid, rng)
         traj = simulate_rde(params, phi, 4.0, grid.spacing / 2.0)
-        phi_norm = sup_norm(phi)
-        delta, c1 = 3.1, params.c1()
-        for t, nn in zip(traj.sample_times(), traj.norms()):
-            env = rde_absorbing_envelope(t, phi_norm, params.a, params.L_f,
-                                         delta, c1, params.r)
-            assert nn <= env + 1e-9
+        env = rde_absorbing_envelope(traj.sample_times(), sup_norm(phi),
+                                     params.a, params.b, params.L_f,
+                                     params.c1(), params.r)
+        assert np.all(traj.norms() <= env + 1e-9)
+
+    def test_envelope_bounds_solution_difference(self):
+        # w = y1 - y2 obeys the Halanay inequality with c1 = 0, so the
+        # envelope is a rigorous growth bound (K0, rate) = (e^{gamma r},
+        # -gamma) for the difference window; e^{lambda0 t} alone is not,
+        # because for t < r the window still holds w_0.  Criterion 5's RDE
+        # system and its first 20 pairs.
+        params = RDEParams(
+            a=1.0, b=0.3, r=1.0, num_modes=3,
+            nonlinearity=NonlinearitySpec(kind="tanh", kappa=0.05))
+        grid = rde_grid(params, 33)
+        lambda0 = ordered_spectrum(1.0, 0.3, 1.0, 3, -3.7).rhos[0] + 0.05
+        worst_env, worst_exp = 0.0, 0.0
+        for i in range(20):
+            rng = np.random.default_rng(89_000 + 17 * i)
+            phis = [random_smooth_segment(grid, rng) for _ in range(2)]
+            t1, t2 = simulate_rde(params, phis, 3.0, grid.spacing / 2.0)
+            w = sim.Trajectory(grid, t1.times, t1.states - t2.states)
+            norms, times = w.norms(), w.sample_times()
+            env = rde_absorbing_envelope(times, norms[0], params.a, params.b,
+                                         params.L_f, 0.0, params.r)
+            worst_env = max(worst_env, float(np.max(norms / env)))
+            worst_exp = max(worst_exp, float(np.max(
+                norms / (norms[0] * np.exp(lambda0 * times)))))
+        assert worst_env <= 1.0 + 4.0 * np.finfo(float).eps
+        assert worst_exp > 5.0
 
     def test_blow_up_guard(self):
         # exponentially growing system trips the norm guard
@@ -507,6 +531,28 @@ class TestArrayInterpolate:
         _assert_close(new.reshape(ref.shape), ref, rel=1e-14)
         for th in theta.ravel()[:3]:
             assert interpolate(h, float(th)).shape == (dim,)
+
+
+def _ref_simpson_weights(n):
+    # the loop sim._simpson_weights replaced, kept verbatim as its oracle
+    w = np.zeros(n)
+    intervals = n - 1
+    pairs = intervals // 2
+    for p in range(pairs):
+        i = 2 * p
+        w[i] += 1.0 / 3.0
+        w[i + 1] += 4.0 / 3.0
+        w[i + 2] += 1.0 / 3.0
+    if intervals % 2 == 1:
+        w[-2] += 0.5
+        w[-1] += 0.5
+    return w
+
+
+def test_simpson_weights_match_loop():
+    for n in range(2, 200):
+        assert (_simpson_weights(n).tobytes()
+                == _ref_simpson_weights(n).tobytes()), n
 
 
 def _ref_integrate(rhs, phi, grid, T, dt):
