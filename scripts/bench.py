@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Repeat the fdedim benchmark in this checkout and summarise the runs.
 
-Runs `perfbench/run.py --trace 0` RUNS times per named workload, one after
-another, and writes one JSON file: per workload, the median and the lower
-and upper quartiles of the five end-to-end metrics, and how many runs were
-correct and how many ops failed.  Example, from the repository root:
+Runs `perfbench/run.py --trace 0` RUNS times per named workload and seed,
+one after another, and writes one JSON file with one result per (seed,
+workload): the median and the lower and upper quartiles of the five
+end-to-end metrics, and how many runs were correct and how many ops
+failed.  Example, from the repository root:
 
     python3 scripts/bench.py --workload ensemble --workload pipeline \\
         --runs 5 --seed 1 --seconds 25 --out BENCH.json
+
+With --baseline DIR (another checkout, such as the parent commit), each
+run of this checkout is paired with a run of DIR's `perfbench/run.py`, the
+two alternating which runs first.  Each result then also holds the
+baseline's summary and, per metric, the ratio change / baseline of every
+pair and the number of pairs the change won (ties count for neither).
 """
 import argparse
 import json
@@ -17,16 +24,19 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNNER = ROOT / "perfbench" / "run.py"
-METRICS = ("setup_s", "ops_per_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
+RUNNER = Path("perfbench") / "run.py"
+# each end-to-end metric and the direction in which it is better
+METRICS = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_s": "lower",
+           "op_tail_s": "lower", "peak_rss_mb": "lower"}
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one untraced benchmark run."""
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """The JSON result line of one untraced benchmark run of a checkout."""
     done = subprocess.run(
-        [sys.executable, str(RUNNER), "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+        [sys.executable, str(checkout / RUNNER), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -47,22 +57,62 @@ def summarise(results: list) -> dict:
     return out
 
 
+def compare(change: list, baseline: list) -> dict:
+    """Per metric, change / baseline of each pair and the pairs won."""
+    out = {}
+    for name, better in METRICS.items():
+        pairs = [(c["metrics"][name]["value"], b["metrics"][name]["value"])
+                 for c, b in zip(change, baseline)
+                 if name in c["metrics"] and name in b["metrics"]]
+        if not pairs:
+            continue
+        wins = sum(c > b if better == "higher" else c < b for c, b in pairs)
+        out[name] = {"ratios": [c / b for c, b in pairs], "wins": wins,
+                     "pairs": len(pairs), "better": better}
+    return out
+
+
+def measure(workload: str, seed: int, runs: int, seconds: float,
+            baseline: Path | None) -> dict:
+    """One result: RUNS runs of this checkout, each paired with a run of
+    the baseline checkout when there is one."""
+    result = {"seed": seed, "workload": workload}
+    if baseline is None:
+        result["change"] = summarise([run_once(ROOT, workload, seed, seconds)
+                                      for _ in range(runs)])
+        return result
+    change, base = [], []
+    for i in range(runs):
+        order = [(base, baseline), (change, ROOT)]
+        for results, checkout in (order if i % 2 == 0 else order[::-1]):
+            results.append(run_once(checkout, workload, seed, seconds))
+    result.update(change=summarise(change), baseline=summarise(base),
+                  pairs=compare(change, base))
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", required=True,
                     choices=["pipeline", "ensemble", "covering", "boxcount"])
     ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="workload seed, repeatable (default 0)")
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--baseline", metavar="DIR", type=Path,
+                    help="checkout whose perfbench/run.py each run of this "
+                         "checkout is paired with")
     ap.add_argument("--out", default="BENCH.json")
     args = ap.parse_args(argv)
     if args.runs < 1 or not args.seconds > 0:
         ap.error("need --runs >= 1 and --seconds > 0")
-    report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workload:
-        results = [run_once(workload, args.seed, args.seconds)
-                   for _ in range(args.runs)]
-        report["workloads"][workload] = summarise(results)
+    baseline = args.baseline.resolve() if args.baseline else None
+    if baseline is not None and not (baseline / RUNNER).is_file():
+        ap.error(f"--baseline {args.baseline} has no {RUNNER}")
+    report = {"seconds": args.seconds, "runs": args.runs,
+              "results": [measure(w, seed, args.runs, args.seconds, baseline)
+                          for seed in args.seed or [0]
+                          for w in args.workload]}
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True)
                               + "\n")
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,14 +53,56 @@ class SqueezeConstants:
         return self.lambda1 < self.lambda0
 
 
+def _contraction(sc: SqueezeConstants, alpha: float, t0: float,
+                 hausdorff: bool) -> float:
+    """eta (hausdorff) or zeta of the constants sc with their t0 replaced
+    by t0, in eta/zeta's operation order."""
+    e0 = math.exp(sc.lambda0 * t0)
+    e1 = math.exp(sc.lambda1 * t0)
+    if hausdorff:
+        return alpha * sc.M1 * e0 + 2.0 * sc.M2 * e1 + 2.0 * sc.M3 * e0
+    return alpha * e0 + sc.M2 * e1 + sc.M3 * e0
+
+
+def _log_contraction(sc: SqueezeConstants, alpha: float, t0: float,
+                     hausdorff: bool, contraction: float) -> float:
+    """ln of the contraction `_contraction` returned for the same
+    arguments.  Where it underflowed to 0.0 (l0 t0 and l1 t0 below about
+    -745), it is the log-sum-exp ln(A e^{l0 t0} + B e^{l1 t0}) of its
+    terms, A = alpha M1 + 2 M3 and B = 2 M2 for eta, A = alpha + M3 and
+    B = M2 for zeta; A and B are positive."""
+    if contraction != 0.0:
+        return math.log(contraction)
+    if hausdorff:
+        a, b = alpha * sc.M1 + 2.0 * sc.M3, 2.0 * sc.M2
+    else:
+        a, b = alpha + sc.M3, sc.M2
+    logs = (math.log(a) + sc.lambda0 * t0, math.log(b) + sc.lambda1 * t0)
+    top = max(logs)
+    return top + math.log1p(math.exp(min(logs) - top))
+
+
+def _bound_at(sc: SqueezeConstants, alpha: float, t0: float,
+              hausdorff: bool):
+    """hausdorff_bound (hausdorff) or fractal_bound of the constants sc
+    with their t0 replaced by t0, without the alpha range check: None
+    where the contraction is >= 1."""
+    contraction = _contraction(sc, alpha, t0, hausdorff)
+    if contraction >= 1.0:
+        return None
+    log_c = _log_contraction(sc, alpha, t0, hausdorff, contraction)
+    L = sc.Lambda
+    if hausdorff:
+        return (-math.log(L) - L * math.log(2.0 + 4.0 / alpha)) / log_c
+    return (math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / alpha)) / (-log_c)
+
+
 def eta(sc: SqueezeConstants, alpha: float) -> float:
     """Hausdorff contraction factor
     alpha*M1*e^{l0 t0} + 2*M2*e^{l1 t0} + 2*M3*e^{l0 t0}."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    e0 = math.exp(sc.lambda0 * sc.t0)
-    e1 = math.exp(sc.lambda1 * sc.t0)
-    return alpha * sc.M1 * e0 + 2.0 * sc.M2 * e1 + 2.0 * sc.M3 * e0
+    return _contraction(sc, alpha, sc.t0, True)
 
 
 def zeta(sc: SqueezeConstants, alpha: float) -> float:
@@ -68,9 +110,7 @@ def zeta(sc: SqueezeConstants, alpha: float) -> float:
     alpha*e^{l0 t0} + M2*e^{l1 t0} + M3*e^{l0 t0}."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    e0 = math.exp(sc.lambda0 * sc.t0)
-    e1 = math.exp(sc.lambda1 * sc.t0)
-    return alpha * e0 + sc.M2 * e1 + sc.M3 * e0
+    return _contraction(sc, alpha, sc.t0, False)
 
 
 def hausdorff_bound(sc: SqueezeConstants, alpha: float):
@@ -78,26 +118,14 @@ def hausdorff_bound(sc: SqueezeConstants, alpha: float):
     # the closed endpoint alpha = 2 is the alpha-free limit value
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    e = eta(sc, alpha)
-    if e >= 1.0:
-        return None
-    L = sc.Lambda
-    return (-math.log(L) - L * math.log(2.0 + 4.0 / alpha)) / math.log(e)
+    return _bound_at(sc, alpha, sc.t0, True)
 
 
 def fractal_bound(sc: SqueezeConstants, alpha: float):
     """(ln L + L ln(2 + 2 M1/alpha)) / (-ln zeta), or None when zeta >= 1."""
     if not 0.0 < alpha < sc.M1:
         raise DomainError(f"alpha must be in (0, M1={sc.M1}), got {alpha}")
-    return _fractal(sc, alpha)
-
-
-def _fractal(sc: SqueezeConstants, alpha: float):
-    z = zeta(sc, alpha)
-    if z >= 1.0:
-        return None
-    L = sc.Lambda
-    return (math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / alpha)) / (-math.log(z))
+    return _bound_at(sc, alpha, sc.t0, False)
 
 
 def hausdorff_bound_alpha_free(sc: SqueezeConstants):
@@ -112,7 +140,7 @@ def hausdorff_bound_alpha_free(sc: SqueezeConstants):
 def fractal_bound_alpha_free(sc: SqueezeConstants):
     """Limit form alpha -> M1: (ln L + L ln 4) / (-ln zeta(sc, M1)), the
     fractal formula at alpha = M1 (where 2 + 2 M1/alpha is exactly 4)."""
-    return _fractal(sc, sc.M1)
+    return _bound_at(sc, sc.M1, sc.t0, False)
 
 
 @dataclass(frozen=True)
@@ -185,7 +213,7 @@ def rde_m1(spectrum: SpectrumTable, m: int, L_f: float) -> float:
 
     Needs the table's root data (groups) and its b, r (params).  It does
     not depend on t0, so one rde_constants call serves a whole (alpha, t0)
-    optimization through dataclasses.replace.
+    optimization, which varies t0 itself.
     """
     if len(spectrum.groups) < m or not {"b", "r"} <= spectrum.params.keys():
         raise ConfigError("certified M1 needs the table's roots, b and r")
@@ -374,9 +402,11 @@ def _scan_grid(sc: SqueezeConstants, alphas: np.ndarray, t0s: np.ndarray,
     Every value is bitwise equal to the scalar functions at
     replace(sc, t0=t0): e^{l0 t0} and e^{l1 t0} come from math.exp once per
     row, the contraction is one array expression in eta/zeta's operation
-    order, and math.log is taken of the contraction on the feasible cells
-    only (np.log may differ from math.log in the last ulp).  The alpha-only
-    log terms are taken once.
+    order, and math.log is mapped over the contraction on the feasible
+    cells only (np.log may differ from math.log in the last ulp), with
+    `_log_contraction`'s log-sum-exp where it underflowed to 0.  The
+    alpha-only log terms are taken once, and the bound is one array
+    division.
     """
     hausdorff = target == "hausdorff"
     t0_list = t0s.tolist()
@@ -394,14 +424,19 @@ def _scan_grid(sc: SqueezeConstants, alphas: np.ndarray, t0s: np.ndarray,
     L = sc.Lambda
     # the fractal numerator is negated so that both bounds are
     # num / ln(contraction); negation is exact in IEEE arithmetic
-    num = [(-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
-            else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
-           if r else None
-           for x, r in zip(alphas.tolist(), in_range.tolist())]
-    bound = [[n / math.log(c) if f else math.nan
-              for n, c, f in zip(num, crow, frow)]
-             for crow, frow in zip(contraction.tolist(), feasible.tolist())]
-    return contraction, in_range, np.array(bound).reshape(contraction.shape)
+    num = np.array([(-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
+                     else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
+                    if r else math.nan
+                    for x, r in zip(alphas.tolist(), in_range.tolist())])
+    logs = np.ones(contraction.shape)
+    positive = feasible & (contraction > 0.0)
+    logs[positive] = list(map(math.log, contraction[positive].tolist()))
+    for i, j in zip(*np.nonzero(feasible & ~positive)):  # underflowed to 0
+        logs[i, j] = _log_contraction(sc, float(alphas[j]), t0_list[i],
+                                      hausdorff, 0.0)
+    bound = np.divide(num, logs, out=np.full(contraction.shape, math.nan),
+                      where=feasible)
+    return contraction, in_range, bound
 
 
 def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
@@ -411,12 +446,13 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
 
     alpha_range/t0_range: (lo, hi) intervals.  A grid x grid array scan
     (`_scan_grid`), then coordinate-wise golden-section refinement to 1e-6
-    with the scalar bound at replace(sc, t0=t).  Only cells with
-    0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal) count toward the
-    argmin and toward min_contraction, and only those with contraction < 1
-    toward the argmin.  Returns a structured infeasibility report (never an
-    exception) when no grid cell is feasible.  Either way the result
-    carries the scan, which `bound_grid_csv` writes.
+    of the scalar bound, evaluated at (alpha, t0) directly (`_bound_at`,
+    the same numbers as the bound functions at replace(sc, t0=t)).  Only
+    cells with 0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal) count
+    toward the argmin and toward min_contraction, and only those with
+    contraction < 1 toward the argmin.  Returns a structured infeasibility
+    report (never an exception) when no grid cell is feasible.  Either way
+    the result carries the scan, which `bound_grid_csv` writes.
     """
     if target not in ("hausdorff", "fractal"):
         raise ConfigError(f"target must be hausdorff or fractal, got {target}")
@@ -424,15 +460,13 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     t_lo, t_hi = map(float, t0_range)
     if not (a_hi > a_lo > 0 and t_hi > t_lo > 0):
         raise ConfigError("ranges must be positive nonempty intervals")
-    if target == "hausdorff":
-        formula, alpha_max = hausdorff_bound, 2.0
-    else:
-        formula, alpha_max = fractal_bound, sc.M1
+    hausdorff = target == "hausdorff"
+    alpha_max = 2.0 if hausdorff else sc.M1
 
-    def evaluate(c, alpha):
-        """Bound value at alpha for the constants c, or inf when
-        infeasible there."""
-        val = formula(c, alpha) if 0.0 < alpha < alpha_max else None
+    def evaluate(alpha, t0):
+        """Bound value at (alpha, t0), or inf when infeasible there."""
+        val = (_bound_at(sc, alpha, t0, hausdorff)
+               if 0.0 < alpha < alpha_max else None)
         return math.inf if val is None else val
 
     alphas = np.linspace(a_lo, a_hi, grid)
@@ -454,14 +488,11 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     i, j = divmod(int(np.argmin(vals)), len(alphas))
     best = (best_val, float(alphas[j]), float(t0s[i]))
     _, alpha, t0 = best
-    # coordinate-wise golden-section refinement; an alpha leg builds the
-    # constants of its fixed t0 once
+    # coordinate-wise golden-section refinement
     for _ in range(3):
-        c = replace(sc, t0=t0)
-        alpha = _golden_min(lambda a: evaluate(c, a), a_lo, a_hi)
-        t0 = _golden_min(lambda t: evaluate(replace(sc, t0=t), alpha),
-                         t_lo, t_hi)
-    val = evaluate(replace(sc, t0=t0), alpha)
+        alpha = _golden_min(lambda a: evaluate(a, t0), a_lo, a_hi)
+        t0 = _golden_min(lambda t: evaluate(alpha, t), t_lo, t_hi)
+    val = evaluate(alpha, t0)
     if val > best[0]:  # refinement should never lose to the grid
         val, alpha, t0 = best
     return OptimizeResult(

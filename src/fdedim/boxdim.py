@@ -6,12 +6,21 @@ boxes of side 2*eps are counted as the distinct rows of the integer cell
 array (a dense grid would be hopeless at this embedding dimension), and the
 dimension estimate is the least-squares slope of ln N_eps against -ln eps.
 
-Distinct rows are found by sorting one item per row.  When the product of
-the column radices (max - min + 1, exact in Python ints) is below 2**63,
-the item is the row's mixed-radix int64 code, and equal codes are equal
-rows; otherwise it is the row viewed as one opaque byte string.  Box
-counting in a few varying columns takes the code; the pipeline's samples
-(99 columns) and their 1e-9 duplicate keys take the byte strings.
+A sample's frame (column minimum and span) is taken once, by a blocked
+reduction that numpy runs much faster than a column reduction of the tall,
+narrow sample, and so are its offsets from the minimum in the varying
+columns.  Distinct rows are found by sorting one item per row.  When the
+product of the column radices (exact in Python ints) is below 2**63, the
+item is the row's mixed-radix int64 code, and equal codes are equal rows;
+otherwise it is the row viewed as one opaque byte string.  A box count
+reads its radices, floor(span / (2 eps)) + 1, off the frame and sums each
+row's cells times their place values; `_dedup`'s signed keys scan theirs.
+Box counting in a few varying columns takes the code; the pipeline's
+samples (99 columns) and their 1e-9 duplicate keys take the byte strings.
+
+The automatic fit window is chosen from the R^2 of every window at once,
+with np.polyfit deciding the windows where the two could disagree, so the
+choice, the slope and the R^2 are those of a polyfit of every window.
 """
 from __future__ import annotations
 
@@ -29,6 +38,10 @@ from .sim import Trajectory
 DUPLICATE_RESOLUTION = 1e-9
 # int64 holds the integers below this in magnitude, and row codes below it
 _INT64_LIMIT = 2 ** 63
+# rows per view row in _frame's blocked column reduction
+_BLOCK = 32
+# the least R^2 of box_counting_dim's automatic window
+_R2_MIN = 0.98
 
 
 @dataclass(frozen=True)
@@ -64,28 +77,41 @@ class AttractorSample:
         return _offsets(self.points, *self.frame)
 
 
+def _place_values(radices) -> list | None:
+    """Mixed-radix place values of columns with the given radices, the
+    first column most significant, or None when the product of the
+    radices (exact in Python ints) reaches 2**63."""
+    places = []
+    size = 1
+    for radix in reversed(radices):
+        places.append(size)
+        size *= radix
+        if size >= _INT64_LIMIT:
+            return None
+    return places[::-1]
+
+
+def _byte_rows(keys: np.ndarray) -> np.ndarray:
+    """Each row of an (n, k) int64 array as one opaque byte string."""
+    keys = np.ascontiguousarray(keys)
+    row = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    return keys.view(row).ravel()
+
+
 def _row_items(keys: np.ndarray) -> np.ndarray:
     """One sortable item per row of an (n, k) int64 array, k >= 1, equal
     exactly for equal rows.
 
-    The item is the row's mixed-radix code, (keys - min) @ multipliers
-    with the first column most significant, when the product of the
-    column radices is below 2**63; otherwise it is the row viewed as one
-    opaque byte string.
+    The item is the row's mixed-radix code, (keys - min) @ place values,
+    when the product of the column radices is below 2**63; otherwise it is
+    the row viewed as one opaque byte string.
     """
     lo = keys.min(axis=0)
-    multipliers = []
-    size = 1
-    for low, high in zip(reversed(lo.tolist()),
-                         reversed(keys.max(axis=0).tolist())):
-        multipliers.append(size)
-        size *= high - low + 1
-        if size >= _INT64_LIMIT:
-            keys = np.ascontiguousarray(keys)
-            rows = keys.view(np.dtype((np.void,
-                                       keys.itemsize * keys.shape[1])))
-            return rows.ravel()
-    return (keys - lo) @ np.array(multipliers[::-1], dtype=np.int64)
+    places = _place_values([high - low + 1 for low, high in
+                            zip(lo.tolist(), keys.max(axis=0).tolist())])
+    if places is None:
+        return _byte_rows(keys)
+    return (keys - lo) @ np.array(places, dtype=np.int64)
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
@@ -100,9 +126,9 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(idx)
 
 
-def _num_distinct_rows(keys: np.ndarray) -> int:
-    """Number of distinct rows of an (n, k) int64 array, k >= 1."""
-    items = _row_items(keys)
+def _num_distinct(items: np.ndarray) -> int:
+    """Number of distinct entries of a 1-D array of int64 codes (sorted in
+    place) or byte strings."""
     if items.dtype != np.int64:
         return len(np.unique(items))
     # a sort and a neighbour compare: ~6x faster than np.unique on int64
@@ -155,9 +181,28 @@ def sample_attractor(simulate, initial_conditions, transient: float,
 
 def _frame(points: np.ndarray) -> tuple:
     """Coordinate-wise minimum and span of a sample, read-only: the anchor
-    and extent of its box grids at every eps."""
-    origin = points.min(axis=0)
-    span = points.max(axis=0) - origin
+    and extent of its box grids at every eps.
+
+    numpy reduces a tall, narrow array over axis 0 slowly, so a C-ordered
+    sample is reduced as a view of _BLOCK rows per row: over the blocks,
+    then over the _BLOCK row slots, then with the leftover rows.  Min and
+    max are exact, so the frame is the plain column reduction's, except
+    that a zero in origin may carry the other sign, which moves no offset
+    to another cell.  Min and max take the same entry among equal ones, so
+    a column of 0.0 and -0.0 has span 0.0 either way.
+    """
+    n, d = points.shape
+    m = n - n % _BLOCK if points.flags.c_contiguous else 0
+    if m:
+        rows = points[:m].reshape(-1, _BLOCK * d)  # a view, not a copy
+        origin = rows.min(axis=0).reshape(_BLOCK, d).min(axis=0)
+        top = rows.max(axis=0).reshape(_BLOCK, d).max(axis=0)
+        if m < n:
+            origin = np.minimum(origin, points[m:].min(axis=0))
+            top = np.maximum(top, points[m:].max(axis=0))
+    else:
+        origin, top = points.min(axis=0), points.max(axis=0)
+    span = top - origin
     origin.setflags(write=False)
     span.setflags(write=False)
     return origin, span
@@ -165,16 +210,26 @@ def _frame(points: np.ndarray) -> tuple:
 
 def _offsets(points: np.ndarray, origin: np.ndarray,
              span: np.ndarray) -> np.ndarray:
-    """points - origin in the columns that vary (span > 0), read-only.
-    Constant columns put every point in cell 0 at every eps, so dropping
-    them leaves every count unchanged."""
+    """points - origin in the columns that vary (span > 0), read-only, as
+    an (n, k) array stored column by column.  Constant columns put every
+    point in cell 0 at every eps, so dropping them leaves every count
+    unchanged."""
     varying = span > 0
-    offsets = points[:, varying] - origin[varying]
+    offsets = (points.T[varying] - origin[varying, None]).T
     offsets.setflags(write=False)
     return offsets
 
 
 def _count_boxes(offsets: np.ndarray, span: np.ndarray, eps: float) -> int:
+    """Occupied cells of side 2*eps among the offsets of a sample whose
+    frame has the given span.
+
+    Every varying column's offsets run from exactly 0 to exactly its span,
+    so its cells run from 0 to floor(span / (2 eps)) with no scan; each
+    row's mixed-radix code is the sum of its cells times the place values
+    of those radices, or, when their product reaches 2**63, the row of
+    cells as one byte string.
+    """
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if not offsets.shape[1]:
@@ -183,8 +238,17 @@ def _count_boxes(offsets: np.ndarray, span: np.ndarray, eps: float) -> int:
         raise ConfigError(
             f"eps {eps!r} is too small for the sample span {span.max()!r}: "
             "cell indices overflow int64")
-    cells = np.floor(offsets / (2.0 * eps)).astype(np.int64)
-    return _num_distinct_rows(cells)
+    width = 2.0 * eps
+    # the offsets are >= 0, so truncation is the floor
+    cells = (offsets.T / width).astype(np.int64)
+    places = _place_values([int(s / width) + 1
+                            for s in span[span > 0].tolist()])
+    if places is None:
+        return _num_distinct(_byte_rows(cells.T))
+    codes = cells[-1].copy()
+    for column, place in zip(cells[:-1], places):
+        codes += column * place
+    return _num_distinct(codes)
 
 
 def box_count(points: np.ndarray, eps: float) -> int:
@@ -197,6 +261,68 @@ def box_count(points: np.ndarray, eps: float) -> int:
     points = np.asarray(points, dtype=float)
     origin, span = _frame(points)
     return _count_boxes(_offsets(points, origin, span), span, eps)
+
+
+def _fit(x: np.ndarray, y: np.ndarray, i0: int, i1: int) -> tuple:
+    """(slope, R^2) of np.polyfit's least-squares line through the points
+    i0..i1; R^2 is 1.0 where y does not vary."""
+    xs, ys = x[i0:i1 + 1], y[i0:i1 + 1]
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(slope), r2
+
+
+def _window_r_squared(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(i0, i1, r2, syy) of every window x[i0:i1 + 1] of >= 4 levels, in
+    the order i0 then i1: the R^2 of its least-squares line and the sum of
+    squared deviations of y about its mean, both from deviations about the
+    window's own means, as one array expression over all windows.
+
+    Deviations about each window's mean keep syy accurate to a few ulps
+    however little y varies; prefix sums of x, y, x^2, y^2 and xy would
+    subtract sums of squares about one shared mean, whose rounding error
+    is large next to a small syy.  r2 is 1.0 where syy is 0, as in `_fit`.
+    """
+    levels = len(x)
+    i0, i1 = np.array([(lo, hi) for lo in range(levels)
+                       for hi in range(lo + 3, levels)]).T
+    index = np.arange(levels)
+    inside = (index >= i0[:, None]) & (index <= i1[:, None])
+    xy = np.stack([x, y])[:, None, :]
+    means = (np.where(inside, xy, 0.0).sum(axis=2, keepdims=True)
+             / (i1 - i0 + 1)[:, None])
+    dx, dy = np.where(inside, xy - means, 0.0)
+    sxy = np.sum(dx * dy, axis=1)
+    sxx = np.sum(dx * dx, axis=1)
+    syy = np.sum(dy * dy, axis=1)
+    flat = syy == 0
+    r2 = np.where(flat, 1.0, sxy * sxy / np.where(flat, 1.0, sxx * syy))
+    return i0, i1, r2, syy
+
+
+def _auto_window(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(i0, i1) of the largest contiguous window of >= 4 points whose
+    `_fit` has R^2 >= 0.98, the first of its length; the full range when
+    there is none.
+
+    `_window_r_squared` gives every window's R^2 at once.  `_fit`'s own
+    R^2 is rounding noise where ln N barely varies (measured off by up to
+    ~1e-20 / syy), and elsewhere the two agreed to within 1e-12, so `_fit`
+    decides the windows with syy < 1e-6 and those within 1e-9 of 0.98:
+    the choice is the one a `_fit` of every window would make.
+    """
+    i0s, i1s, r2s, syy = _window_r_squared(x, y)
+    ok = r2s >= _R2_MIN
+    for k in np.flatnonzero((np.abs(r2s - _R2_MIN) <= 1e-9)
+                            | (syy < 1e-6)).tolist():
+        ok[k] = _fit(x, y, i0s[k], i1s[k])[1] >= _R2_MIN
+    if not ok.any():
+        return 0, len(x) - 1
+    k = int(np.argmax(np.where(ok, i1s - i0s, -1)))
+    return int(i0s[k]), int(i1s[k])
 
 
 def box_counting_dim(sample: AttractorSample, eps_list,
@@ -226,16 +352,6 @@ def box_counting_dim(sample: AttractorSample, eps_list,
             "fewer than 2 distinct box counts; sample too degenerate")
     x = -np.log(eps)
     y = np.log(counts)
-
-    def fit(i0, i1):
-        xs, ys = x[i0:i1 + 1], y[i0:i1 + 1]
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-        return float(slope), r2
-
     if window is not None:
         lo, hi = window
         idx = [i for i, e in enumerate(eps) if lo <= e <= hi]
@@ -244,18 +360,9 @@ def box_counting_dim(sample: AttractorSample, eps_list,
         i0, i1 = idx[0], idx[-1]
         auto = False
     else:
-        # largest contiguous window with R^2 >= 0.98 (full range fallback)
-        best = (2, 0, len(eps) - 1)
-        found = None
-        for i0 in range(len(eps)):
-            for i1 in range(i0 + 3, len(eps)):
-                _, r2 = fit(i0, i1)
-                if r2 >= 0.98 and (found is None
-                                   or i1 - i0 > found[0]):
-                    found = (i1 - i0, i0, i1)
-        _, i0, i1 = found if found is not None else best
+        i0, i1 = _auto_window(x, y)
         auto = True
-    slope, r2 = fit(i0, i1)
+    slope, r2 = _fit(x, y, i0, i1)
     return {
         "estimate": slope,
         "r_squared": r2,

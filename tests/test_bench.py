@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import pathlib
 import runpy
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 METRICS = ("setup_s", "ops_per_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
 
 
@@ -12,9 +16,70 @@ def test_bench_script_summarises_runs(tmp_path):
     assert script["main"](["--workload", "boxcount", "--runs", "1",
                            "--seconds", "1", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["seed"] == 0 and report["seconds"] == 1.0
-    box = report["workloads"]["boxcount"]
+    assert report["seconds"] == 1.0 and report["runs"] == 1
+    (result,) = report["results"]
+    assert (result["seed"], result["workload"]) == (0, "boxcount")
+    assert set(result) == {"seed", "workload", "change"}
+    box = result["change"]
     assert (box["runs"], box["correct"], box["failed"]) == (1, 1, 0)
     assert box["attempted"] > 0
     for name in METRICS:
         assert 0 < box[name]["q1"] <= box[name]["median"] <= box[name]["q3"]
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench",
+                                                  SCRIPTS / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_baseline_pairs_alternate(tmp_path, monkeypatch):
+    # a fake run: this checkout does 2 ops/s and 1 MiB more than the
+    # baseline's 1 op/s, except in the third pair, where the ops tie
+    bench = _load_bench()
+    baseline = tmp_path / "parent"
+    (baseline / "perfbench").mkdir(parents=True)
+    (baseline / "perfbench" / "run.py").write_text("")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        mine = checkout == bench.ROOT
+        calls.append((mine, workload, seed))
+        tie = mine and sum(c[0] for c in calls) == 3
+        values = {"setup_s": 0.5, "ops_per_s": 1.0 if tie else 1.0 + mine,
+                  "op_p50_s": 1.0, "op_tail_s": 2.0,
+                  "peak_rss_mb": 40.0 + mine}
+        return {"correct": True, "failed": 0, "attempted": 10,
+                "metrics": {k: {"value": v, "unit": "u"}
+                            for k, v in values.items()}}
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--workload", "boxcount", "--runs", "4", "--seed",
+                       "0", "--seed", "7", "--seconds", "1", "--baseline",
+                       str(baseline), "--out", str(out)]) == 0
+    # the side that runs first alternates from pair to pair
+    assert [c[0] for c in calls[:8]] == [False, True, True, False] * 2
+    assert [c[2] for c in calls] == [0] * 8 + [7] * 8
+    report = json.loads(out.read_text())
+    first, second = report["results"]
+    assert (first["seed"], second["seed"]) == (0, 7)
+    assert first["baseline"]["ops_per_s"]["median"] == 1.0
+    assert first["change"]["ops_per_s"]["median"] == 2.0
+    ops = first["pairs"]["ops_per_s"]
+    assert ops["ratios"] == [2.0, 2.0, 1.0, 2.0]
+    assert (ops["wins"], ops["pairs"], ops["better"]) == (3, 4, "higher")
+    rss = first["pairs"]["peak_rss_mb"]
+    assert (rss["wins"], rss["better"]) == (0, "lower")
+    assert first["pairs"]["setup_s"]["wins"] == 0
+    assert second["pairs"]["ops_per_s"]["wins"] == 4
+
+
+def test_baseline_without_runner_rejected(tmp_path, capsys):
+    bench = _load_bench()
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--workload", "boxcount", "--baseline", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "has no perfbench/run.py" in capsys.readouterr().err

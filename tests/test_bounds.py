@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdedim.bounds import (BoundReport, OptimizeResult, SqueezeConstants,
-                           _golden_min,
+                           _contraction, _golden_min, _log_contraction,
                            absorbing_entry_time, absorbing_radius,
                            bound_grid_csv, bound_report, eta, fractal_bound,
                            fractal_bound_alpha_free, hausdorff_bound,
@@ -558,3 +558,81 @@ def test_feasible_bounds_positive(alpha, t0):
         assert rep.hausdorff > 0
     if rep.fractal is not None:
         assert rep.fractal > 0
+
+
+def _reference_hausdorff_bound(c, alpha):
+    """hausdorff_bound as it was before the underflow fix, verbatim in
+    logic: math.log of eta, which raises where eta underflows to 0."""
+    e = eta(c, alpha)
+    if e >= 1.0:
+        return None
+    L = c.Lambda
+    return (-math.log(L) - L * math.log(2.0 + 4.0 / alpha)) / math.log(e)
+
+
+def _reference_fractal_bound(c, alpha):
+    z = zeta(c, alpha)
+    if z >= 1.0:
+        return None
+    L = c.Lambda
+    return ((math.log(L) + L * math.log(2.0 + 2.0 * c.M1 / alpha))
+            / (-math.log(z)))
+
+
+class TestContractionUnderflow:
+    """lambda0 t0 = -820: eta and zeta underflow to 0.0, and the bounds take
+    ln(A e^{l0 t0} + B e^{l1 t0}) as a log-sum-exp instead of math.log(0.0)."""
+
+    UNDER = dict(M1=2.0, M2=1.0, M3=0.5, l0=-41.0, l1=-45.0, Lam=1)
+
+    def test_bounds_finite_at_zero_contraction(self):
+        c = sc(**self.UNDER, t0=20.0)
+        assert eta(c, 1.0) == 0.0 and zeta(c, 1.0) == 0.0
+        # eta = (alpha M1 + 2 M3) e^{-820} + 2 M2 e^{-900}: the second term
+        # is e^{-80} of the first, below its last digit
+        h = hausdorff_bound(c, 1.0)
+        assert h == pytest.approx(math.log(6.0) / (820.0 - math.log(3.0)),
+                                  rel=1e-14)
+        f = fractal_bound(c, 1.0)
+        assert f == pytest.approx(math.log(6.0) / (820.0 - math.log(1.5)),
+                                  rel=1e-14)
+        rep = bound_report(c, 1.0)
+        assert (rep.hausdorff, rep.fractal) == (h, f)
+
+    @given(st.floats(-3.0, 0.5), st.floats(0.01, 1.99))
+    @settings(max_examples=60, deadline=None)
+    def test_log_sum_exp_matches_log_where_positive(self, shift, alpha):
+        # at l0 t0 = -700 + shift, eta is small but not 0: the log-sum-exp
+        # form agrees with math.log of it
+        c = sc(**self.UNDER, t0=(700.0 - shift) / 41.0)
+        for hausdorff in (True, False):
+            value = _contraction(c, alpha, c.t0, hausdorff)
+            assert value > 0.0
+            assert _log_contraction(c, alpha, c.t0, hausdorff, 0.0) == \
+                pytest.approx(math.log(value), rel=1e-13)
+
+    @given(fam=_family_args, alpha=st.floats(0.001, 4.0),
+           t0=st.floats(0.05, 8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_unchanged_where_positive(self, fam, alpha, t0):
+        c = replace(_family(*fam), t0=t0)
+        if alpha <= 2.0:
+            assert hausdorff_bound(c, alpha) == \
+                _reference_hausdorff_bound(c, alpha)
+        if alpha < c.M1:
+            assert fractal_bound(c, alpha) == \
+                _reference_fractal_bound(c, alpha)
+
+    @pytest.mark.parametrize("target", ["hausdorff", "fractal"])
+    def test_optimizer_scans_underflow(self, target):
+        c = sc(**self.UNDER)
+        res = optimize_bound(c, (0.01, 1.99), (0.1, 20.0), target, grid=16)
+        assert res.feasible and math.isfinite(res.bound) and res.bound > 0
+        alphas, t0s, contraction, bound = res.scan
+        assert (contraction == 0.0).any()
+        scalar = hausdorff_bound if target == "hausdorff" else fractal_bound
+        for i, j in zip(*np.nonzero(contraction == 0.0)):
+            cell = replace(c, t0=float(t0s[i]))
+            alpha = float(alphas[j])
+            if alpha < (2.0 if target == "hausdorff" else c.M1):
+                assert bound[i, j] == scalar(cell, alpha) > 0

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fdedim.boxdim import (DUPLICATE_RESOLUTION, AttractorSample, _dedup,
-                           _distinct_rows, _num_distinct_rows, box_count,
+from fdedim import boxdim
+from fdedim.boxdim import (DUPLICATE_RESOLUTION, AttractorSample, _auto_window,
+                           _count_boxes, _dedup, _distinct_rows, _fit,
+                           _num_distinct, _row_items, box_count,
                            box_counting_dim, counts_to_csv, diameter,
                            dyadic_eps, sample_attractor)
 from fdedim.core import (GridSpec, HistorySegment, random_smooth_segment,
@@ -87,6 +89,66 @@ def dedup_reference(points, resolution):
     return points[np.sort(idx)]
 
 
+def auto_window_reference(x, y):
+    """The per-window polyfit loop that `_auto_window` replaced, verbatim
+    in logic: (i0, i1, slope, R^2) of the chosen window."""
+    def fit(i0, i1):
+        xs, ys = x[i0:i1 + 1], y[i0:i1 + 1]
+        slope, intercept = np.polyfit(xs, ys, 1)
+        pred = slope * xs + intercept
+        ss_res = float(np.sum((ys - pred) ** 2))
+        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+        return float(slope), r2
+
+    eps = x  # only its length is used
+    best = (2, 0, len(eps) - 1)
+    found = None
+    for i0 in range(len(eps)):
+        for i1 in range(i0 + 3, len(eps)):
+            _, r2 = fit(i0, i1)
+            if r2 >= 0.98 and (found is None
+                               or i1 - i0 > found[0]):
+                found = (i1 - i0, i0, i1)
+    _, i0, i1 = found if found is not None else best
+    return (i0, i1) + fit(i0, i1)
+
+
+def _frame_cloud(n):
+    """(n, 4) cloud: a rising column, a column of 0.0 and -0.0 whose other
+    entries are positive, a column of 0.0 and -0.0 only, and a falling
+    column from -0.0.  The extremes of the rising and falling columns are
+    in the last row, which the blocked frame scan leaves over for n = 33
+    and n = 65; the zero columns meet both zeros in every block."""
+    rows = np.arange(n, dtype=float)
+    zeros = np.where(rows % 3 == 0, -0.0, 0.0)
+    return np.stack([rows * 0.75,
+                     np.where(rows % 5 == 1, np.sin(rows) + 2.0, zeros),
+                     np.where(rows % 2 == 1, -0.0, 0.0),
+                     -np.sqrt(rows) * 2.0], axis=1)
+
+
+# all-zero clouds whose last row holds +0.0 or -0.0: the diameter is +0.0
+_SIGNED_ZEROS = [np.where(np.arange(n * 2).reshape(n, 2) % 3 == k, -0.0, 0.0)
+                 for n, k in ((33, 0), (65, 1), (31, 2), (32, 0))]
+
+
+# count sequences (eps = 0.25, 0.125, ...): the first four levels' R^2 is
+# 0.98 to within 1.4e-11; counts constant over 5 or more levels, where the
+# polyfit R^2 is rounding noise (-0.67 over 45 repeated six times); saturated
+# fine levels; two perfect windows of the longest length; and no window
+# reaching 0.98 (the full-range fallback)
+_WINDOW_COUNTS = [
+    [1147685, 1421937, 2061592, 3161097],
+    [1147685, 1421937, 2061592, 3161097, 6400000, 12000000],
+    [45, 45, 45, 45, 45, 45, 137, 272],
+    [5, 5, 5, 5, 9, 17, 33, 65],
+    [3, 10, 40, 160, 640, 1000, 1000, 1000, 1000],
+    [1, 2, 4, 8, 1000, 2000, 4000, 8000],
+    [1, 100, 2, 90, 3, 80],
+]
+
+
 @st.composite
 def point_clouds(draw):
     """(n, D) clouds with repeated rows, constant columns and negative
@@ -139,7 +201,7 @@ class TestArrayFormsMatchReference:
         got = _distinct_rows(keys)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
-        assert _num_distinct_rows(keys) == len(ref)
+        assert _num_distinct(_row_items(keys)) == len(ref)
 
     @given(point_clouds(), st.floats(1e-3, 20.0))
     @settings(max_examples=60, deadline=None)
@@ -162,6 +224,15 @@ class TestArrayFormsMatchReference:
             assert len(set(ref)) < 2 and ref[0] > 1
 
     @given(point_clouds())
+    @example(_frame_cloud(1))
+    @example(_frame_cloud(31))
+    @example(_frame_cloud(32))
+    @example(_frame_cloud(33))
+    @example(_frame_cloud(65))
+    @example(_SIGNED_ZEROS[0])
+    @example(_SIGNED_ZEROS[1])
+    @example(_SIGNED_ZEROS[2])
+    @example(_SIGNED_ZEROS[3])
     @settings(max_examples=60, deadline=None)
     def test_diameter_bitwise(self, pts):
         got = diameter(make_sample(pts))
@@ -176,6 +247,13 @@ class TestArrayFormsMatchReference:
         assert np.array_equal(got, ref)
 
     @given(point_clouds())
+    @example(_frame_cloud(1))
+    @example(_frame_cloud(31))
+    @example(_frame_cloud(32))
+    @example(_frame_cloud(33))
+    @example(_frame_cloud(65))
+    @example(np.asfortranarray(_frame_cloud(65)))
+    @example(_frame_cloud(130)[::2])
     @settings(max_examples=60, deadline=None)
     def test_frame_and_diameter_match_uncached(self, pts):
         sample = make_sample(pts)
@@ -225,6 +303,76 @@ class TestArrayFormsMatchReference:
         assert got.points.shape == ref.shape
         assert got.points.tobytes() == ref.tobytes()
 
+    @given(st.lists(st.integers(1, 10 ** 7), min_size=4, max_size=10),
+           st.booleans())
+    @example(_WINDOW_COUNTS[0], False)
+    @example(_WINDOW_COUNTS[1], False)
+    @example(_WINDOW_COUNTS[2], False)
+    @example(_WINDOW_COUNTS[3], False)
+    @example(_WINDOW_COUNTS[4], False)
+    @example(_WINDOW_COUNTS[5], False)
+    @example(_WINDOW_COUNTS[6], False)
+    @settings(max_examples=200, deadline=None)
+    def test_auto_window(self, counts, monotone):
+        if monotone:
+            counts = sorted(counts)
+        x = -np.log(dyadic_eps(0.25, len(counts) - 1))
+        y = np.log(counts)
+        i0, i1 = _auto_window(x, y)
+        assert (i0, i1) + _fit(x, y, i0, i1) == auto_window_reference(x, y)
+
+    @given(st.integers(4, 9), st.floats(0.2, 2.5), st.floats(0.0, 0.3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_auto_window_near_power_law(self, levels, slope, noise, seed):
+        # ln N a line plus noise: R^2 close to 0.98 for some windows
+        x = -np.log(dyadic_eps(0.25, levels - 1))
+        rng = np.random.default_rng(seed)
+        counts = np.maximum(1, np.round(np.exp(
+            3.0 + slope * (x - x[0]) + rng.normal(0.0, noise, levels))))
+        y = np.log(counts)
+        i0, i1 = _auto_window(x, y)
+        assert (i0, i1) + _fit(x, y, i0, i1) == auto_window_reference(x, y)
+
+    @pytest.mark.parametrize("counts,refits", [
+        (_WINDOW_COUNTS[0], [(0, 3)]),
+        (_WINDOW_COUNTS[2],
+         [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]),
+        ([3, 6, 12, 24, 48, 96], [])])
+    def test_uncertain_windows_refit(self, monkeypatch, counts, refits):
+        # _fit decides the window within 1e-9 of 0.98 and those where ln N
+        # is (nearly) constant; a clean power law needs no refit
+        x = -np.log(dyadic_eps(0.25, len(counts) - 1))
+        y = np.log(counts)
+        calls = []
+        real = boxdim._fit
+
+        def counted(x, y, i0, i1):
+            calls.append((i0, i1))
+            return real(x, y, i0, i1)
+
+        monkeypatch.setattr(boxdim, "_fit", counted)
+        _auto_window(x, y)
+        assert calls == refits
+
+    def test_pinned_window_near_threshold(self):
+        x = -np.log(dyadic_eps(0.25, 3))
+        _, r2 = _fit(x, np.log(_WINDOW_COUNTS[0]), 0, 3)
+        assert 0 < abs(r2 - 0.98) < 1e-9
+
+    @given(point_clouds(), st.floats(1.0, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_box_counting_dim_matches_reference(self, pts, eps_max):
+        eps = dyadic_eps(eps_max, 6)
+        counts = [box_count_reference(pts, e) for e in eps]
+        if len(set(counts)) < 2:
+            return
+        got = box_counting_dim(make_sample(pts), eps)
+        i0, i1, slope, r2 = auto_window_reference(-np.log(eps),
+                                                  np.log(counts))
+        assert got["window_eps"] == [eps[i0], eps[i1]]
+        assert (got["estimate"], got["r_squared"]) == (slope, r2)
+
 
 class TestBoxCount:
     def test_single_point(self):
@@ -256,6 +404,28 @@ class TestBoxCount:
         wide = np.array([[0.0, 0.0], [2.0 ** 32, 2.0 ** 32],
                          [1.0, 2.0 ** 32], [0.0, 0.0]])
         assert box_count(wide, 0.5) == 3 == box_count_reference(wide, 0.5)
+
+    @pytest.mark.parametrize("top,takes_bytes", [
+        # radices 3 and top + 1: top is the largest float with a product
+        # below 2**63 (2**63 - 509); the next float up gives 2**63 + 1027
+        (3074457345618258432.0, False), (3074457345618258944.0, True)])
+    def test_count_boxes_place_value_limit(self, monkeypatch, top,
+                                           takes_bytes):
+        pts = np.array([[0.0, 0.0], [2.0, top], [1.0, 0.0], [2.0, top],
+                        [0.0, top], [1.0, 512.0], [1.0, 512.0]])
+        sample = make_sample(pts)
+        byte_rows = []
+        real = boxdim._byte_rows
+
+        def counted(keys):
+            byte_rows.append(keys.shape)
+            return real(keys)
+
+        monkeypatch.setattr(boxdim, "_byte_rows", counted)
+        # eps = 0.5: cells of side 1, so the radices are 3 and top + 1
+        got = _count_boxes(sample.offsets, sample.frame[1], 0.5)
+        assert got == 5 == box_count_reference(pts, 0.5)
+        assert byte_rows == ([(7, 2)] if takes_bytes else [])
 
     def test_dedup_key_overflow_rejected(self):
         pts = np.array([[1e10], [2e10], [3e10]])

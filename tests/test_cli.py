@@ -185,6 +185,30 @@ class TestOptimize:
         with open(out / "bound_grid.csv", newline="") as f:
             assert len(list(csv.reader(f))) == 1 + 64 * 64
 
+    # lambda0 t0 below -745 at the long transit times: eta and zeta
+    # underflow to 0.0, where math.log(0.0) used to end the run with a
+    # ValueError traceback (exit 1)
+    UNDERFLOW = ["--M1", "2", "--M2", "1", "--M3", "0.5", "--lambda0", "-41",
+                 "--lambda1", "-45", "--Lambda", "1"]
+
+    def test_contraction_underflow_optimize(self, tmp_path):
+        code, out = run(["optimize"] + self.UNDERFLOW
+                        + ["--alpha-min", "0.01", "--alpha-max", "1.99",
+                           "--t0-min", "0.1", "--t0-max", "20"], tmp_path)
+        assert code == 0
+        res = json.loads((out / "optimize.json").read_text())
+        assert res["feasible"] and res["min_contraction"] == 0.0
+        assert math.isfinite(res["bound"]) and res["bound"] > 0
+
+    def test_contraction_underflow_bounds(self, tmp_path):
+        code, out = run(["bounds"] + self.UNDERFLOW
+                        + ["--t0", "20", "--alpha", "1"], tmp_path)
+        assert code == 0
+        rep = json.loads((out / "bound_report.json").read_text())
+        assert rep["eta"] == 0.0 and rep["zeta"] == 0.0
+        for key in ("hausdorff", "fractal"):
+            assert math.isfinite(rep[key]) and rep[key] > 0
+
     @pytest.mark.parametrize("flag", ["--M1", "--Lambda"])
     def test_invalid_constant_exit_2(self, tmp_path, flag, capsys):
         # invalid constants are a config error, as in `bounds`, not an
