@@ -237,16 +237,15 @@ def rde_m1(spectrum: SpectrumTable, m: int, L_f: float) -> float:
 
 
 def rde_constants(spectrum: SpectrumTable, m: int, L_f: float, K: float,
-                  t0: float, statement_m1: bool = False) -> SqueezeConstants:
+                  t0: float) -> SqueezeConstants:
     """Squeezing constants for the scalar retarded reaction-diffusion model
     at spectral cut m, given the dichotomy constant K and Lipschitz L_f.
 
-    Default M1 is the certified bound of `rde_m1`, which dominates the
-    operator norm of P in the sup-history norm at t = 0 and the P-leg at
-    every t >= 0 under the growth assumption stated there.
-    statement_m1=True restores the theorem statement's value 2; that value
-    is not a valid P-leg constant in general: for a=1, b=0.3, r=1, m=1 the
-    discrete ||P|| is 8.00 > 2.
+    M1 is the certified bound of `rde_m1`, which dominates the operator
+    norm of P in the sup-history norm at t = 0 and the P-leg at every
+    t >= 0 under the growth assumption stated there.  The theorem
+    statement's value 2 is not a valid P-leg constant in general: for a=1,
+    b=0.3, r=1, m=1 the discrete ||P|| is 8.00 > 2.
     """
     if m < 1 or m >= len(spectrum.rhos):
         raise ConfigError(
@@ -260,22 +259,19 @@ def rde_constants(spectrum: SpectrumTable, m: int, L_f: float, K: float,
     if L_f > 0 and denom <= 0:
         raise DomainError(
             f"M3 denominator rho1 + L_f - rho_m = {denom} must be positive")
-    M1 = 2.0 if statement_m1 else rde_m1(spectrum, m, L_f)
     M3 = 0.0 if L_f == 0 else K * L_f / denom
     return SqueezeConstants(
-        M1=M1, M2=K, M3=M3,
+        M1=rde_m1(spectrum, m, L_f), M2=K, M3=M3,
         lambda0=L_f + rho1, lambda1=rho_m,
         Lambda=spectrum.k(m), t0=t0)
 
 
 def rfde_constants(K0: float, gamma: float, beta: float, K: float,
-                   L_f: float, t0: float, Lambda: int,
-                   statement_m1: bool = False) -> SqueezeConstants:
+                   L_f: float, t0: float, Lambda: int) -> SqueezeConstants:
     """Squeezing constants for the abstract retarded functional equation
     given user-supplied dichotomy data (K0, gamma, beta, K).
 
-    Default M1 is the derivation's value K0 + K; statement_m1=True restores
-    the statement's value 2.  Precondition: beta < -gamma < 0.
+    M1 is the derivation's value K0 + K.  Precondition: beta < -gamma < 0.
     """
     if not (beta < -gamma < 0):
         raise DomainError(f"need beta < -gamma < 0, got beta={beta}, gamma={gamma}")
@@ -285,10 +281,9 @@ def rfde_constants(K0: float, gamma: float, beta: float, K: float,
     if L_f > 0 and denom <= 0:
         raise DomainError(
             f"M3 denominator -beta - gamma + L_f*K0 = {denom} must be positive")
-    M1 = 2.0 if statement_m1 else K0 + K
     M3 = 0.0 if L_f == 0 else K * L_f * K0 / denom
     return SqueezeConstants(
-        M1=M1, M2=K, M3=M3,
+        M1=K0 + K, M2=K, M3=M3,
         lambda0=L_f * K0 - gamma, lambda1=beta,
         Lambda=Lambda, t0=t0)
 

@@ -33,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import write_csv
 from .errors import ConfigError, DegenerateSampleError
-from .sim import Trajectory
 
 DUPLICATE_RESOLUTION = 1e-9
 # int64 holds the integers below this in magnitude, and row codes below it
@@ -147,21 +146,15 @@ def _dedup(points: np.ndarray, resolution: float) -> np.ndarray:
     return points[_distinct_rows(scaled.astype(np.int64))]
 
 
-def sample_attractor(simulate, initial_conditions, transient: float,
-                     horizon: float, stride: float,
+def sample_attractor(trajectories, transient: float, stride: float,
                      source: dict | None = None) -> AttractorSample:
-    """Pool post-transient history segments from several trajectories.
-
-    simulate: callable phi -> Trajectory run to at least transient + horizon;
-    stride: sampling period (a multiple of the history-grid spacing).
-    """
-    if transient < 0 or horizon <= 0:
-        raise ConfigError("need transient >= 0 and horizon > 0")
+    """Pool the history segments of several trajectories at the sample
+    times t >= transient, one every stride (a multiple of the history-grid
+    spacing)."""
+    if transient < 0:
+        raise ConfigError("need transient >= 0")
     pools = []
-    for phi in initial_conditions:
-        traj = simulate(phi)
-        if not isinstance(traj, Trajectory):
-            raise ConfigError("simulate must return a Trajectory")
+    for traj in trajectories:
         h = traj.grid.spacing
         k = round(stride / h)
         if k < 1 or abs(k * h - stride) > 1e-9 * stride:

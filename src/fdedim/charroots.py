@@ -6,8 +6,7 @@ The scalar characteristic function is
 
 whose roots are exactly lam = -c + W_k(-b r e^{c r}) / r over all Lambert W
 branches k.  For the retarded reaction-diffusion equation the mode-n offset
-is c = a + n^2 (default sign convention); the literal form printed in the
-source material flips the n^2 sign, which `paper_sign=True` restores.
+is c = a + n^2; the a - n^2 printed in the source material is a misprint.
 """
 from __future__ import annotations
 
@@ -339,10 +338,6 @@ def _canonicalize(roots: list[complex], mode: int) -> list[CharRoot]:
 # Per-mode roots by Lambert-branch enumeration
 # ---------------------------------------------------------------------------
 
-def _mode_offset(a: float, n: int, paper_sign: bool) -> float:
-    return a - n * n if paper_sign else a + n * n
-
-
 def _branch_roots(c: float, b: float, r: float, floor: float) -> list[complex]:
     """All roots with Re >= floor via lam = -c + W_k(-b r e^{cr}) / r.
 
@@ -373,12 +368,13 @@ def _branch_roots(c: float, b: float, r: float, floor: float) -> list[complex]:
     return roots
 
 
-def mode_roots(a: float, b: float, r: float, n: int, floor: float,
-               paper_sign: bool = False) -> list[CharRoot]:
-    """All characteristic roots of mode n with Re >= floor."""
+def mode_roots(a: float, b: float, r: float, n: int,
+               floor: float) -> list[CharRoot]:
+    """All characteristic roots of mode n (offset c = a + n^2) with
+    Re >= floor."""
     if not r > 0:
         raise ConfigError("delay r must be positive")
-    c = _mode_offset(a, n, paper_sign)
+    c = a + n * n
     if b == 0.0:
         return [CharRoot(complex(-c, 0.0), n, 1)] if -c >= floor else []
     re_up = rightmost_real_part_bound(c, b, r)
@@ -452,7 +448,7 @@ class SpectrumTable:
 
 
 def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
-                     floor: float, paper_sign: bool = False) -> SpectrumTable:
+                     floor: float) -> SpectrumTable:
     """Merged descending spectrum over modes 1..max_mode above the floor.
 
     Coverage precondition: every mode beyond max_mode must have all of its
@@ -461,16 +457,14 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
     """
     if max_mode < 1:
         raise ConfigError("max_mode must be >= 1")
-    c_next = _mode_offset(a, max_mode + 1, paper_sign)
-    if not paper_sign:
-        bound_next = rightmost_real_part_bound(c_next, b, r)
-        if bound_next >= floor:
-            raise TruncationError(
-                f"floor {floor} does not cover mode {max_mode + 1} "
-                f"(rightmost bound {bound_next:.6g})", mode=max_mode + 1)
+    bound_next = rightmost_real_part_bound(a + (max_mode + 1) ** 2, b, r)
+    if bound_next >= floor:
+        raise TruncationError(
+            f"floor {floor} does not cover mode {max_mode + 1} "
+            f"(rightmost bound {bound_next:.6g})", mode=max_mode + 1)
     all_roots: list[CharRoot] = []
     for n in range(1, max_mode + 1):
-        all_roots.extend(mode_roots(a, b, r, n, floor, paper_sign=paper_sign))
+        all_roots.extend(mode_roots(a, b, r, n, floor))
     if not all_roots:
         raise TruncationError("no roots above the floor", mode=None)
     groups: list[list[CharRoot]] = []
@@ -486,7 +480,7 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
         rhos=rhos, multiplicities=mults, cumulative=cum,
         truncation=(max_mode, floor),
         groups=tuple(tuple(g) for g in groups),
-        params={"a": a, "b": b, "r": r, "paper_sign": paper_sign},
+        params={"a": a, "b": b, "r": r},
     )
 
 

@@ -27,8 +27,8 @@ from .errors import (ConfigError, ContourError, FdedimError,
                      IntegrationError, NetConstructionError, TruncationError)
 from .sim import (NonlinearitySpec, RDEParams, check_absorbing, check_squeeze,
                   rde_grid, simulate_rde)
-from .spectral import (build_decomposition, estimate_projection_norm,
-                       fit_dichotomy_K, with_K)
+from .spectral import (K_SAFETY, build_decomposition,
+                       estimate_projection_norm, fit_dichotomy_K, with_K)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,12 +115,11 @@ def _initial_segment(grid, seed, scale):
 
 
 def _spectrum(args, max_mode):
-    """The ordered spectrum of the flags' a, b, r, floor and paper sign,
-    over modes 1..max_mode."""
+    """The ordered spectrum of the flags' a, b, r and floor, over modes
+    1..max_mode."""
     _require(args, "a", "b", "r", "floor")
     return ordered_spectrum(float(args.a), float(args.b), float(args.r),
-                            int(max_mode), float(args.floor),
-                            paper_sign=bool(args.paper_sign))
+                            int(max_mode), float(args.floor))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +192,8 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _m1_provenance(args):
-    """Provenance of the M1 that bd.rde_constants returns for these flags."""
-    return ("statement value 2" if args.statement_m1
-            else "certified (P-leg bound from the characteristic roots)")
+# provenance of the M1 that bd.rde_constants returns
+M1_PROVENANCE = "certified (P-leg bound from the characteristic roots)"
 
 
 def _decomposition_pipeline(args, params):
@@ -207,7 +204,6 @@ def _decomposition_pipeline(args, params):
     decomp = build_decomposition(table, m, params, grid)
     K_fit, K_margin = fit_dichotomy_K(
         decomp, trials=30 if args.k_trials is None else int(args.k_trials),
-        horizon=float(_or(args.k_horizon, 5.0 * params.r)),
         seed=int(args.seed or 0))
     return table, with_K(decomp, K_fit, K_margin), grid
 
@@ -226,13 +222,12 @@ def cmd_squeeze_check(args):
     _require(args, "T", "dt", "t0")
     table, decomp, grid = _decomposition_pipeline(args, params)
     sc = bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
-                          float(args.t0),
-                          statement_m1=bool(args.statement_m1))
+                          float(args.t0))
     tr1, tr2 = _pair(args, params, grid)
     report = check_squeeze(tr1, tr2, decomp, sc)
     report = {k: v for k, v in report.items() if k != "rows"}
     report["constants"] = dataclasses.asdict(sc)
-    report["M1_provenance"] = _m1_provenance(args)
+    report["M1_provenance"] = M1_PROVENANCE
     report["projection_norm"] = estimate_projection_norm(decomp)
     out = _outdir(args)
     write_json(report, os.path.join(out, "squeeze_report.json"))
@@ -277,11 +272,10 @@ def cmd_boxdim(args):
     scale = _ic_scale(args)
     ics = [_initial_segment(grid, (int(args.seed or 0)) * 7919 + i, scale)
            for i in range(n_ic)]
-    stride = grid.spacing * int(_or(args.stride_nodes, 1))
     sample = bx.sample_attractor(
-        lambda phi: simulate_rde(params, phi, float(args.T), float(args.dt)),
-        ics, transient=float(args.transient),
-        horizon=float(args.T) - float(args.transient), stride=stride,
+        simulate_rde(params, ics, float(args.T), float(args.dt)),
+        transient=float(args.transient),
+        stride=grid.spacing * int(_or(args.stride_nodes, 1)),
         source={"a": params.a, "b": params.b, "r": params.r})
     diam = bx.diameter(sample)
     eps_max = float(_or(args.eps_max, max(diam, 1e-6)))
@@ -337,7 +331,7 @@ def cmd_pipeline(args):
                 float(_or(args.t0_max, 20.0 * params.r)))
     # the optimizers vary t0; the constants carry the range's lower end
     sc = bd.rde_constants(table, decomp.m, params.L_f, decomp.K_fit,
-                          t0_range[0], statement_m1=bool(args.statement_m1))
+                          t0_range[0])
     opt_h = bd.optimize_bound(sc, alpha_range, t0_range, "hausdorff")
     frac_alpha_hi = min(alpha_range[1], 0.999 * sc.M1)
     opt_f = (bd.optimize_bound(sc, (alpha_range[0], frac_alpha_hi),
@@ -356,8 +350,7 @@ def cmd_pipeline(args):
     transient = float(_or(args.transient, float(args.T) / 2.0))
     # the sample pools the pair already integrated above
     sample = bx.sample_attractor(
-        lambda tr: tr, [tr1, tr2], transient=transient,
-        horizon=float(args.T) - transient, stride=grid.spacing,
+        [tr1, tr2], transient=transient, stride=grid.spacing,
         source={"a": params.a, "b": params.b, "r": params.r})
     diam = bx.diameter(sample)
     try:
@@ -386,10 +379,9 @@ def cmd_pipeline(args):
                      "k": list(table.cumulative),
                      "provenance": "derived (characteristic roots)"},
         "dichotomy": {"K_fit": decomp.K_fit, "K_margin": decomp.K_margin,
-                      "provenance": "fitted (linear simulation, "
-                                    "safety factor 1.1)"},
-        "constants_m1": {"value": sc.M1,
-                         "provenance": _m1_provenance(args)},
+                      "provenance": "fitted (linear simulation, safety "
+                                    f"factor {K_SAFETY})"},
+        "constants_m1": {"value": sc.M1, "provenance": M1_PROVENANCE},
         "hausdorff": opt_h.to_dict(),
         "fractal": opt_f.to_dict() if opt_f is not None else None,
         "squeeze": squeeze,
@@ -433,12 +425,7 @@ def _add_decomp(sp):
     sp.add_argument("--m", type=int)
     sp.add_argument("--max-mode", dest="max_mode", type=int)
     sp.add_argument("--floor", type=float)
-    sp.add_argument("--paper-sign", dest="paper_sign", action="store_const",
-                    const=True)
     sp.add_argument("--k-trials", dest="k_trials", type=int)
-    sp.add_argument("--k-horizon", dest="k_horizon", type=float)
-    sp.add_argument("--statement-m1", dest="statement_m1",
-                    action="store_const", const=True)
 
 
 @functools.cache
@@ -455,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--r", "--floor"):
         sp.add_argument(flag, type=float)
     sp.add_argument("--max-mode", dest="max_mode", type=int)
-    sp.add_argument("--paper-sign", dest="paper_sign", action="store_const",
-                    const=True)
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("bounds", help="evaluate dimension-bound formulas")

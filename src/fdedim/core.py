@@ -284,35 +284,6 @@ def write_csv(path_or_buf, header, columns) -> None:
             w.writerows(zip(*cells))
 
 
-def segment_to_csv(h: HistorySegment, path_or_buf) -> None:
-    """One row per node: theta, v1..vd."""
-    write_csv(path_or_buf,
-              ["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)],
-              [h.grid.nodes(), *h.values.T])
-
-
-def segment_from_csv(path_or_buf, value_norm: str = "euclidean") -> HistorySegment:
-    """Inverse of segment_to_csv: ConfigError unless every row is as wide
-    as the header, every cell is a number and the theta column is the
-    grid's nodes to 1e-12 r."""
-    with open_path_or_buf(path_or_buf, "r", newline="") as f:
-        rows = list(csv.reader(f))
-    if len(rows) < 3:
-        raise ConfigError("segment CSV needs at least 2 node rows")
-    if any(len(row) != len(rows[0]) for row in rows[1:]):
-        raise ConfigError("segment CSV rows must be as wide as its header")
-    try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-    except ValueError:
-        raise ConfigError("segment CSV cell is not a number") from None
-    thetas, values = data[:, 0], data[:, 1:]
-    grid = GridSpec(delay_r=-float(thetas[0]), num_nodes=len(thetas),
-                    value_dim=values.shape[1], value_norm=value_norm)
-    if not np.all(np.abs(thetas - grid.nodes()) <= 1e-12 * grid.delay_r):
-        raise ConfigError("segment CSV theta column is off its grid")
-    return HistorySegment(grid, values)
-
-
 def random_segment(grid: GridSpec, rng: np.random.Generator,
                    scale: float = 1.0) -> HistorySegment:
     """I.i.d. normal node values; rough but valid test data."""

@@ -686,8 +686,8 @@ def check_squeeze(traj1: Trajectory, traj2: Trajectory, decomp,
 
     decomp is either a SpectralDecomposition, applied to all samples with
     one matmul against its functionals and basis, or any callable
-    (segment, "P"|"Q") -> segment supplying the projection pair, called
-    once per sample.
+    (segment, "P") -> segment supplying P, called once per sample.  Either
+    way Q w = w - P w.
     """
     grid = traj1.grid
     if grid != traj2.grid:
@@ -702,17 +702,15 @@ def check_squeeze(traj1: Trajectory, traj2: Trajectory, decomp,
     if w0n == 0.0:
         raise DegeneratePairError("zero initial separation")
     if callable(decomp):
-        pq = [(decomp(h, "P").values, decomp(h, "Q").values)
-              for h in (HistorySegment(grid, wk) for wk in w)]
-        p, q = (np.array(part) for part in zip(*pq))
+        p = np.array([decomp(HistorySegment(grid, wk), "P").values
+                      for wk in w])
     else:
         if decomp.grid != grid:
             raise ShapeError("segment grid incompatible with decomposition")
         flat = w.reshape(len(w), -1)
         p = ((flat @ decomp.functionals.T) @ decomp.basis).reshape(w.shape)
-        q = w - p
     pn = grid.value_space_norm(p).max(axis=1)
-    qn = grid.value_space_norm(q).max(axis=1)
+    qn = grid.value_space_norm(w - p).max(axis=1)
     # math.exp and the sequential sums below keep the right-hand sides and
     # mean slacks bitwise equal to those of a per-sample loop
     e0 = np.array([math.exp(sc.lambda0 * t) for t in times])

@@ -25,6 +25,9 @@ from .core import (GridSpec, HistorySegment, random_segment,
 from .errors import ConfigError, DegenerateRootError, ShapeError
 from .sim import RDEParams, _simpson_weights, linear_semigroup
 
+# factor by which fit_dichotomy_K inflates the largest observed decay ratio
+K_SAFETY = 1.1
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -59,16 +62,6 @@ class SpectralDecomposition:
         n, d = self.grid.num_nodes, self.grid.value_dim
         return [HistorySegment(self.grid, row.reshape(n, d))
                 for row in self.basis]
-
-    def summary(self) -> dict:
-        return {
-            "Lambda": self.Lambda, "m": self.m,
-            "rho1": self.rho1, "rho_m": self.rho_m, "rho_m_plus_1": self.rho_m1,
-            "K_fit": self.K_fit, "K_margin": self.K_margin,
-            "params": {"a": self.params.a, "b": self.params.b,
-                       "r": self.params.r,
-                       "num_modes": self.params.num_modes},
-        }
 
 
 def build_decomposition(spectrum: SpectrumTable, m: int, params: RDEParams,
@@ -155,14 +148,6 @@ def project(decomp: SpectralDecomposition, h: HistorySegment,
                           p_flat.reshape(h.values.shape))
 
 
-def projection_coefficients(decomp: SpectralDecomposition,
-                            h: HistorySegment) -> np.ndarray:
-    """Coordinates of P h in the stored eigenbasis."""
-    if h.grid != decomp.grid:
-        raise ShapeError("segment grid incompatible with decomposition")
-    return decomp.functionals @ h.values.ravel()
-
-
 def estimate_projection_norm(decomp: SpectralDecomposition) -> float:
     """Operator norm of the discrete P in the sup-history norm.
 
@@ -204,12 +189,11 @@ def estimate_projection_norm(decomp: SpectralDecomposition) -> float:
 
 
 def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
-                    horizon: float | None = None, seed: int = 0,
-                    safety: float = 1.1):
+                    horizon: float | None = None, seed: int = 0):
     """Fit K of the stable-part decay bound  |U(t) Q x| <= K e^{rho_m t} |x|.
 
     Max of the observed ratio over random stable-part segments and sampled
-    times, inflated by the safety factor.  Per-trial seeds make the result
+    times up to horizon (default 5 r), inflated by K_SAFETY.  Per-trial seeds make the result
     independent of execution order; the projected draws are integrated as
     one batch.  Returns (K_fit, K_margin), which `with_K` stores on a copy
     of the decomposition.  Raises ConfigError when trials < 1 or every draw
@@ -244,7 +228,7 @@ def fit_dichotomy_K(decomp: SpectralDecomposition, trials: int = 50,
     decay = np.exp(-decomp.rho_m * trajs[0].sample_times())
     worst = max(float((traj.norms() * decay / nx).max())
                 for traj, nx in zip(trajs, nxs))
-    K_fit = safety * worst
+    K_fit = K_SAFETY * worst
     return K_fit, K_fit - worst
 
 

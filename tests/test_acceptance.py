@@ -442,8 +442,8 @@ def test_criterion_08_boxdim_calibration():
     rngs = [np.random.default_rng(55_000 + i) for i in range(3)]
     ics = [random_smooth_segment(grid, g) for g in rngs]
     sample = bx.sample_attractor(
-        lambda p: simulate_rde(params, p, 12.0, dt), ics,
-        transient=8.0, horizon=4.0, stride=grid.spacing)
+        [simulate_rde(params, p, 12.0, dt) for p in ics],
+        transient=8.0, stride=grid.spacing)
     # anchor the box sizes to the O(1) phase-space scale; anchoring to the
     # sample's own diameter would zoom into the residual transient tail of
     # a point attractor and report the tail's dimension instead

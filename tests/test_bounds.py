@@ -418,11 +418,6 @@ class TestRdeConstants:
         assert c.M3 == 0.0
         assert c.lambda0 == pytest.approx(-2.0)
 
-    def test_statement_m1_flag(self):
-        spec = ordered_spectrum(1.0, 0.0, 1.0, 2, -9.0)
-        assert rde_constants(spec, 1, 0.1, 1.0, 1.0,
-                             statement_m1=True).M1 == 2.0
-
     def test_lambda_passthrough(self):
         spec = ordered_spectrum(1.0, 0.0, 1.0, 3, -15.0)
         assert rde_constants(spec, 2, 0.0, 1.0, 1.0).Lambda == spec.k(2)
@@ -460,11 +455,6 @@ class TestRfdeConstants:
                            t0=1.0, Lambda=1)
         assert c.M3 == 0.0
         assert c.lambda0 == pytest.approx(-1.0)
-
-    def test_statement_flag(self):
-        c = rfde_constants(K0=0.5, gamma=1.0, beta=-2.0, K=1.0, L_f=0.2,
-                           t0=1.0, Lambda=1, statement_m1=True)
-        assert c.M1 == 2.0
 
     def test_precondition(self):
         with pytest.raises(DomainError):

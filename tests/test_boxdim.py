@@ -294,11 +294,9 @@ class TestArrayFormsMatchReference:
         pools = sample_attractor_reference(trajectories, transient, stride)
         if not pools:
             with pytest.raises(ConfigError, match="no post-transient"):
-                sample_attractor(lambda tr: tr, trajectories, transient,
-                                 1.0, stride)
+                sample_attractor(trajectories, transient, stride)
             return
-        got = sample_attractor(lambda tr: tr, trajectories, transient, 1.0,
-                               stride)
+        got = sample_attractor(trajectories, transient, stride)
         ref = _dedup(np.array(pools), DUPLICATE_RESOLUTION)
         assert got.points.shape == ref.shape
         assert got.points.tobytes() == ref.tobytes()
@@ -509,8 +507,8 @@ class TestSampleAttractor:
         grid = rde_grid(params, 17)
         dt = grid.spacing / 2.0
 
-        def simulate(phi):
-            return simulate_rde(params, phi, 8.0, dt)
+        def simulate(phis):
+            return simulate_rde(params, phis, 8.0, dt)
 
         return params, grid, simulate
 
@@ -518,7 +516,7 @@ class TestSampleAttractor:
         _, grid, simulate = self._contracting_setup()
         rng = np.random.default_rng(67)
         ics = [random_smooth_segment(grid, rng) for _ in range(3)]
-        s = sample_attractor(simulate, ics, transient=6.0, horizon=2.0,
+        s = sample_attractor(simulate(ics), transient=6.0,
                              stride=grid.spacing)
         assert np.max(np.abs(s.points)) < 1e-6
         assert diameter(s) < 1e-6
@@ -528,22 +526,21 @@ class TestSampleAttractor:
         grid = rde_grid(params, 17)
         dt = grid.spacing / 2.0
 
-        def simulate(phi):
-            return simulate_rde(params, phi, 4.0, dt)
+        def simulate(phis):
+            return simulate_rde(params, phis, 4.0, dt)
 
         rng = np.random.default_rng(68)
         ics = [random_smooth_segment(grid, rng) for _ in range(4)]
-        d2 = diameter(sample_attractor(simulate, ics[:2], 0.0, 4.0,
+        d2 = diameter(sample_attractor(simulate(ics[:2]), 0.0,
                                        grid.spacing))
-        d4 = diameter(sample_attractor(simulate, ics, 0.0, 4.0,
-                                       grid.spacing))
+        d4 = diameter(sample_attractor(simulate(ics), 0.0, grid.spacing))
         assert d4 >= d2 - 1e-12
 
     def test_stride_must_align(self):
         _, grid, simulate = self._contracting_setup()
         phi = HistorySegment.zero(grid)
         with pytest.raises(ConfigError):
-            sample_attractor(simulate, [phi], 0.0, 1.0,
+            sample_attractor(simulate([phi]), 0.0,
                              stride=grid.spacing * 1.37)
 
 

@@ -218,13 +218,6 @@ class TestModeRoots:
         assert max(cr.value.real for cr in real_roots) == pytest.approx(
             expected, abs=1e-10)
 
-    def test_paper_sign_flag(self):
-        default = mode_roots(1.0, 0.0, 1.0, 2, -20.0)   # c = a + 4
-        flipped = mode_roots(5.0, 0.0, 1.0, 2, -20.0,
-                             paper_sign=True)           # c = 5 - 4 = 1
-        assert default[0].value == pytest.approx(-5.0)
-        assert flipped[0].value == pytest.approx(-1.0)
-
     def test_overflowing_argument(self):
         # mode 30: c r = 901, so -b r e^{c r} is no float; the rightmost
         # bound puts every root below a desk-scale floor, while with

@@ -4,7 +4,9 @@ import logging
 import math
 import os
 import pathlib
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from fdedim.bounds import rde_halanay
-from fdedim.cli import _initial_segment, main
+from fdedim.cli import _initial_segment, build_parser, main
 from fdedim.core import sup_norm
 from fdedim.sim import RDEParams, rde_grid, simulate_rde
 
@@ -69,15 +71,6 @@ class TestRoots:
         code, _ = run(["roots", "--a", "1", "--b", "0.1", "--r", "1",
                        "--max-mode", "3", "--floor", "-12"], tmp_path)
         assert code == 2
-
-    def test_paper_sign_flag(self, tmp_path):
-        code, out = run(["roots", "--a", "5", "--b", "0", "--r", "1",
-                         "--max-mode", "2", "--floor", "-30",
-                         "--paper-sign"], tmp_path)
-        assert code == 0
-        data = json.loads((out / "spectrum.json").read_text())
-        # paper sign: mode offsets a - n^2 -> roots -(5-1), -(5-4)
-        assert data["rhos"] == [-1.0, -4.0]
 
 
 class TestBounds:
@@ -458,6 +451,62 @@ class TestAbsorbingCheck:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+class TestRemovedOptions:
+    """Options that swapped a certified input for an uncertified one, and
+    the K-fit horizon knob, are gone: as flags and as config keys."""
+
+    VERBS = {
+        "roots": (["roots", "--a", "1", "--b", "0", "--r", "1",
+                   "--max-mode", "3", "--floor", "-15"], "spectrum.json"),
+        "squeeze-check": (["squeeze-check"] + TestChecksAndPipeline.RDE
+                          + ["--T", "3", "--t0", "1", "--m", "1",
+                             "--k-trials", "4"], "squeeze_report.json"),
+        "pipeline": (["pipeline"] + TestChecksAndPipeline.RDE
+                     + ["--T", "3", "--m", "1", "--k-trials", "4",
+                        "--transient", "1.5"], "pipeline_report.json"),
+    }
+    REMOVED = [("roots", ["--paper-sign"])] + [
+        (verb, flag) for verb in ("squeeze-check", "pipeline")
+        for flag in (["--paper-sign"], ["--statement-m1"],
+                     ["--k-horizon", "5"])]
+    IDS = [f"{verb}{flag[0]}" for verb, flag in REMOVED]
+
+    @pytest.mark.parametrize("verb,flag", REMOVED, ids=IDS)
+    def test_removed_flags_exit_2(self, tmp_path, verb, flag):
+        argv, report = self.VERBS[verb]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + flag, tmp_path)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out" / report).exists()
+
+    @pytest.mark.parametrize("verb,flag", REMOVED, ids=IDS)
+    def test_removed_config_key_exit_2(self, tmp_path, capsys, verb, flag):
+        # "false" is a true string: a switch read by truthiness takes it as on
+        argv, report = self.VERBS[verb]
+        key = flag[0][2:].replace("-", "_")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: flag[1] if flag[1:] else "false"}))
+        code, out = run(argv + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (out / report).exists()
+
+
+def test_readme_examples_parse():
+    """Every `fdedim ...` command of the README's sh blocks parses: no
+    document names a flag the CLI does not have."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("fdedim "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert len(commands) >= 9
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert callable(args.func)
+
+
 class TestWithoutScipy:
     """The runtime needs numpy alone; each test runs a fresh interpreter."""
 
@@ -516,7 +565,7 @@ class TestExplicitZeroFlags:
 
     @pytest.mark.parametrize("flag", [
         "--m", "--max-mode", "--num-nodes", "--alpha-min", "--alpha-max",
-        "--t0-min", "--t0-max", "--k-horizon", "--ic-scale"])
+        "--t0-min", "--t0-max", "--ic-scale"])
     def test_pipeline_zero_rejected(self, tmp_path, flag, capsys):
         argv = self.PIPELINE + ["--transient", "2"]
         if flag in argv:

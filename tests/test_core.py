@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from fdedim.core import (GridSpec, HistorySegment, hermite_basis,
                          interpolate, random_segment, random_smooth_segment,
-                         segment_from_csv, segment_to_csv, sup_norm,
-                         write_csv)
+                         sup_norm, write_csv)
 from fdedim.errors import ConfigError, DomainError, ShapeError
 
 
@@ -109,60 +108,6 @@ class TestInterpolate:
         g = grid(n=11)
         h = HistorySegment.from_function(g, lambda th: th)
         assert -1.0 - 1e-9 <= interpolate(h, theta)[0] <= 1e-9
-
-
-class TestSerde:
-    def test_roundtrip(self):
-        g = grid(n=9, d=3)
-        rng = np.random.default_rng(2)
-        h = random_segment(g, rng)
-        buf = io.StringIO()
-        segment_to_csv(h, buf)
-        back = segment_from_csv(io.StringIO(buf.getvalue()))
-        assert back.grid == g
-        assert np.array_equal(back.values, h.values)
-
-    def test_too_short(self):
-        with pytest.raises(ConfigError):
-            segment_from_csv(io.StringIO("theta,v1\n0.0,1.0\n"))
-
-    @pytest.mark.parametrize("text", [
-        # nonuniform theta, with the first node and row count of a grid
-        "theta,v1\r\n-1.0,1.0\r\n-0.3,2.0\r\n0.0,3.0\r\n",
-        # uniform theta that does not end at 0
-        "theta,v1\r\n-1.0,1.0\r\n-0.5,2.0\r\n-0.2,3.0\r\n",
-        # a row narrower than the header
-        "theta,v1\r\n-1.0,1.0\r\n-0.5\r\n0.0,3.0\r\n",
-        # a cell that is not a number
-        "theta,v1\r\n-1.0,x\r\n0.0,1.0\r\n",
-    ], ids=["nonuniform", "not-ending-at-0", "short-row", "non-numeric"])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ConfigError):
-            segment_from_csv(io.StringIO(text))
-
-    def test_delay_r_is_python_float(self):
-        buf = io.StringIO()
-        segment_to_csv(HistorySegment.zero(grid(n=5, r=1.5)), buf)
-        back = segment_from_csv(io.StringIO(buf.getvalue()))
-        assert type(back.grid.delay_r) is float
-        assert back.grid.delay_r == 1.5
-
-    @pytest.mark.parametrize("n,d,r", [(9, 3, 1.0), (17, 1, 0.2), (5, 2, 3.0)])
-    def test_matches_reference(self, n, d, r):
-        h = random_segment(grid(n=n, d=d, r=r), np.random.default_rng(n))
-        got, want = io.StringIO(), io.StringIO()
-        segment_to_csv(h, got)
-        _reference_segment_csv(h, want)
-        assert got.getvalue() == want.getvalue()
-
-
-def _reference_segment_csv(h, f):
-    """The csv-module loop that core.write_csv replaced in segment_to_csv,
-    kept verbatim in logic."""
-    w = csv.writer(f)
-    w.writerow(["theta"] + [f"v{k + 1}" for k in range(h.grid.value_dim)])
-    for theta, row in zip(h.grid.nodes(), h.values):
-        w.writerow([repr(float(theta))] + [repr(float(x)) for x in row])
 
 
 # ---------------------------------------------------------------------------
