@@ -14,7 +14,12 @@ With --baseline DIR (another checkout, such as the parent commit), each
 run of this checkout is paired with a run of DIR's `perfbench/run.py`, the
 two alternating which runs first.  Each result then also holds the
 baseline's summary and, per metric, the ratio change / baseline of every
-pair and the number of pairs the change won (ties count for neither).
+pair, the number of pairs the change won (ties count for neither), and
+worse_than_bound: whether the change's median is worse than the
+baseline's by more than the metric's bound times the baseline's median.
+
+The workload names and the end-to-end metrics, with their directions and
+bounds, are read from BENCHMARK.json at the repository root.
 """
 import argparse
 import json
@@ -25,9 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("perfbench") / "run.py"
-# each end-to-end metric and the direction in which it is better
-METRICS = {"setup_s": "lower", "ops_per_s": "higher", "op_p50_s": "lower",
-           "op_tail_s": "lower", "peak_rss_mb": "lower"}
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+# each end-to-end metric: the direction in which it is better, and its bound
+METRICS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -58,17 +64,21 @@ def summarise(results: list) -> dict:
 
 
 def compare(change: list, baseline: list) -> dict:
-    """Per metric, change / baseline of each pair and the pairs won."""
+    """Per metric, change / baseline of each pair, the pairs won, and
+    whether the change's median is worse than the bound allows."""
     out = {}
-    for name, better in METRICS.items():
+    for name, (better, bound) in METRICS.items():
         pairs = [(c["metrics"][name]["value"], b["metrics"][name]["value"])
                  for c, b in zip(change, baseline)
                  if name in c["metrics"] and name in b["metrics"]]
         if not pairs:
             continue
         wins = sum(c > b if better == "higher" else c < b for c, b in pairs)
+        mine, base = (statistics.median(side) for side in zip(*pairs))
+        worse = base - mine if better == "higher" else mine - base
         out[name] = {"ratios": [c / b for c, b in pairs], "wins": wins,
-                     "pairs": len(pairs), "better": better}
+                     "pairs": len(pairs), "better": better,
+                     "worse_than_bound": worse > bound * base}
     return out
 
 
@@ -94,7 +104,7 @@ def measure(workload: str, seed: int, runs: int, seconds: float,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", required=True,
-                    choices=["pipeline", "ensemble", "covering", "boxcount"])
+                    choices=WORKLOADS)
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, action="append",
                     help="workload seed, repeatable (default 0)")

@@ -8,11 +8,13 @@ classes (scalar retarded reaction-diffusion and abstract retarded
 functional equations), absorbing-set radii, and the reaction-diffusion
 absorbing envelope, which Halanay's inequality gives from the equation.
 
-The pullback-attractor bounds are the same formulas with s0 in place of
-t0, so one set of functions serves both.  The (alpha, t0) optimizer scans
-its grid once; the scan travels on its result, and bound_grid_csv writes
-that scan rather than scanning again, through core.write_csv, the one CSV
-writer of every table.
+One evaluator, `_evaluate`, writes each formula once and computes every
+contraction and bound value, of one (alpha, t0) or of a whole grid.  The
+pullback-attractor bounds are the same formulas with s0 in place of t0, so
+one set of functions serves both.  The (alpha, t0) optimizer scans its
+grid once, then refines alpha with the best t0 in closed form; the scan
+travels on its result, and bound_grid_csv writes it through
+core.write_csv, the one CSV writer of every table.
 """
 from __future__ import annotations
 
@@ -53,48 +55,80 @@ class SqueezeConstants:
         return self.lambda1 < self.lambda0
 
 
-def _contraction(sc: SqueezeConstants, alpha: float, t0: float,
-                 hausdorff: bool) -> float:
-    """eta (hausdorff) or zeta of the constants sc with their t0 replaced
-    by t0, in eta/zeta's operation order."""
-    e0 = math.exp(sc.lambda0 * t0)
-    e1 = math.exp(sc.lambda1 * t0)
+def _weights(sc: SqueezeConstants, alpha, hausdorff: bool):
+    """(A, B) of the contraction A e^{l0 t0} + B e^{l1 t0}: A = alpha M1 +
+    2 M3 and B = 2 M2 for eta, A = alpha + M3 and B = M2 for zeta.  A and B
+    are positive; alpha may be an array."""
     if hausdorff:
-        return alpha * sc.M1 * e0 + 2.0 * sc.M2 * e1 + 2.0 * sc.M3 * e0
-    return alpha * e0 + sc.M2 * e1 + sc.M3 * e0
+        return alpha * sc.M1 + 2.0 * sc.M3, 2.0 * sc.M2
+    return alpha + sc.M3, sc.M2
 
 
 def _log_contraction(sc: SqueezeConstants, alpha: float, t0: float,
-                     hausdorff: bool, contraction: float) -> float:
-    """ln of the contraction `_contraction` returned for the same
-    arguments.  Where it underflowed to 0.0 (l0 t0 and l1 t0 below about
-    -745), it is the log-sum-exp ln(A e^{l0 t0} + B e^{l1 t0}) of its
-    terms, A = alpha M1 + 2 M3 and B = 2 M2 for eta, A = alpha + M3 and
-    B = M2 for zeta; A and B are positive."""
-    if contraction != 0.0:
-        return math.log(contraction)
-    if hausdorff:
-        a, b = alpha * sc.M1 + 2.0 * sc.M3, 2.0 * sc.M2
-    else:
-        a, b = alpha + sc.M3, sc.M2
+                     hausdorff: bool) -> float:
+    """ln(A e^{l0 t0} + B e^{l1 t0}) as a log-sum-exp of `_weights`' terms,
+    finite where the contraction underflows to 0.0 (l0 t0, l1 t0 < -745)."""
+    a, b = _weights(sc, alpha, hausdorff)
     logs = (math.log(a) + sc.lambda0 * t0, math.log(b) + sc.lambda1 * t0)
     top = max(logs)
     return top + math.log1p(math.exp(min(logs) - top))
 
 
-def _bound_at(sc: SqueezeConstants, alpha: float, t0: float,
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """The math function fn on every element of x (np.exp and np.log may
+    differ from math.exp and math.log in the last ulp)."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def _evaluate(sc: SqueezeConstants, alphas: np.ndarray, t0s: np.ndarray,
               hausdorff: bool):
-    """hausdorff_bound (hausdorff) or fractal_bound of the constants sc
-    with their t0 replaced by t0, without the alpha range check: None
-    where the contraction is >= 1."""
-    contraction = _contraction(sc, alpha, t0, hausdorff)
-    if contraction >= 1.0:
-        return None
-    log_c = _log_contraction(sc, alpha, t0, hausdorff, contraction)
+    """(contraction, bound) over the broadcast of alphas and t0s for the
+    constants sc with their t0 replaced by t0s: eta and hausdorff_bound
+    (hausdorff) or zeta and fractal_bound, the bound NaN where the
+    contraction is >= 1.  No alpha range check; the callers make it.
+
+    e^{l0 t0} and e^{l1 t0} come from math.exp once per element of t0s,
+    the alpha-only log terms from math.log once per element of alphas, and
+    the contraction is one array expression in eta/zeta's operation order.
+    math.log is mapped over the contraction where it is in (0, 1), with
+    `_log_contraction` where it underflowed to 0.
+    """
+    e0 = _map(math.exp, sc.lambda0 * t0s)
+    e1 = _map(math.exp, sc.lambda1 * t0s)
     L = sc.Lambda
-    if hausdorff:
-        return (-math.log(L) - L * math.log(2.0 + 4.0 / alpha)) / log_c
-    return (math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / alpha)) / (-log_c)
+    # the fractal numerator is negated so that both bounds are
+    # num / ln(contraction); negation is exact in IEEE arithmetic
+    with np.errstate(over="ignore"):  # as Python's float arithmetic does
+        if hausdorff:
+            contraction = (alphas * sc.M1 * e0 + 2.0 * sc.M2 * e1
+                           + 2.0 * sc.M3 * e0)
+            num = -math.log(L) - L * _map(math.log, 2.0 + 4.0 / alphas)
+        else:
+            contraction = alphas * e0 + sc.M2 * e1 + sc.M3 * e0
+            num = -(math.log(L)
+                    + L * _map(math.log, 2.0 + 2.0 * sc.M1 / alphas))
+    feasible = contraction < 1.0
+    logs = np.ones(contraction.shape)
+    positive = feasible & (contraction > 0.0)
+    logs[positive] = _map(math.log, contraction[positive])
+    under = feasible & ~positive
+    if under.any():
+        logs[under] = [
+            _log_contraction(sc, a, t, hausdorff) for a, t in zip(
+                np.broadcast_to(alphas, under.shape)[under].tolist(),
+                np.broadcast_to(t0s, under.shape)[under].tolist())]
+    bound = np.divide(num, logs, out=np.full(contraction.shape, math.nan),
+                      where=feasible)
+    return contraction, bound
+
+
+def _at(sc: SqueezeConstants, alpha: float, hausdorff: bool):
+    """(contraction, bound or None) of `_evaluate` at alpha and sc's t0."""
+    contraction, bound = _evaluate(sc, np.array([float(alpha)]),
+                                   np.array([float(sc.t0)]), hausdorff)
+    value = bound.item()
+    return contraction.item(), None if math.isnan(value) else value
 
 
 def eta(sc: SqueezeConstants, alpha: float) -> float:
@@ -102,7 +136,7 @@ def eta(sc: SqueezeConstants, alpha: float) -> float:
     alpha*M1*e^{l0 t0} + 2*M2*e^{l1 t0} + 2*M3*e^{l0 t0}."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    return _contraction(sc, alpha, sc.t0, True)
+    return _at(sc, alpha, True)[0]
 
 
 def zeta(sc: SqueezeConstants, alpha: float) -> float:
@@ -110,7 +144,7 @@ def zeta(sc: SqueezeConstants, alpha: float) -> float:
     alpha*e^{l0 t0} + M2*e^{l1 t0} + M3*e^{l0 t0}."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    return _contraction(sc, alpha, sc.t0, False)
+    return _at(sc, alpha, False)[0]
 
 
 def hausdorff_bound(sc: SqueezeConstants, alpha: float):
@@ -118,14 +152,14 @@ def hausdorff_bound(sc: SqueezeConstants, alpha: float):
     # the closed endpoint alpha = 2 is the alpha-free limit value
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    return _bound_at(sc, alpha, sc.t0, True)
+    return _at(sc, alpha, True)[1]
 
 
 def fractal_bound(sc: SqueezeConstants, alpha: float):
     """(ln L + L ln(2 + 2 M1/alpha)) / (-ln zeta), or None when zeta >= 1."""
     if not 0.0 < alpha < sc.M1:
         raise DomainError(f"alpha must be in (0, M1={sc.M1}), got {alpha}")
-    return _bound_at(sc, alpha, sc.t0, False)
+    return _at(sc, alpha, False)[1]
 
 
 def hausdorff_bound_alpha_free(sc: SqueezeConstants):
@@ -140,7 +174,7 @@ def hausdorff_bound_alpha_free(sc: SqueezeConstants):
 def fractal_bound_alpha_free(sc: SqueezeConstants):
     """Limit form alpha -> M1: (ln L + L ln 4) / (-ln zeta(sc, M1)), the
     fractal formula at alpha = M1 (where 2 + 2 M1/alpha is exactly 4)."""
-    return _bound_at(sc, sc.M1, sc.t0, False)
+    return _at(sc, sc.M1, False)[1]
 
 
 @dataclass(frozen=True)
@@ -167,9 +201,8 @@ def bound_report(sc: SqueezeConstants, alpha: float) -> BoundReport:
     The global-attractor and pullback-attractor bounds are the same
     formulas in the squeezing constants, with the pullback transit time s0
     in place of t0, so this one report serves both."""
-    e = eta(sc, alpha) if alpha > 0 else math.inf
-    z = zeta(sc, alpha) if alpha > 0 else math.inf
-    h = f = None
+    e, h = _at(sc, alpha, True) if alpha > 0 else (math.inf, None)
+    z, f = _at(sc, alpha, False) if alpha > 0 else (math.inf, None)
     feas = {
         "hausdorff_alpha_range": 0.0 < alpha <= 2.0,
         "hausdorff_eta_lt_1": e < 1.0,
@@ -177,12 +210,10 @@ def bound_report(sc: SqueezeConstants, alpha: float) -> BoundReport:
         "fractal_zeta_lt_1": z < 1.0,
         "gap_lambda1_lt_lambda0": sc.gap_ok,
     }
-    if feas["hausdorff_alpha_range"] and feas["hausdorff_eta_lt_1"]:
-        h = hausdorff_bound(sc, alpha)
-    if feas["fractal_alpha_range"] and feas["fractal_zeta_lt_1"]:
-        f = fractal_bound(sc, alpha)
-    return BoundReport(eta=e, zeta=z, hausdorff=h, fractal=f,
-                       alpha_used=alpha, feasible=feas)
+    return BoundReport(
+        eta=e, zeta=z, hausdorff=h if feas["hausdorff_alpha_range"] else None,
+        fractal=f if feas["fractal_alpha_range"] else None,
+        alpha_used=alpha, feasible=feas)
 
 
 # ---------------------------------------------------------------------------
@@ -362,76 +393,24 @@ class OptimizeResult:
                 "reasons": dict(self.reasons)}
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Golden-section argmin of fn on [lo, hi] (inf = infeasible)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return c if fc <= fd else d
-
-
-def _scan_grid(sc: SqueezeConstants, alphas: np.ndarray, t0s: np.ndarray,
-               target: str):
-    """Contraction and bound over the (t0, alpha) grid of the constants sc
-    with their t0 replaced by each grid t0, one row per t0.
-
-    Returns (contraction, in_range, bound).  contraction is eta (target
-    "hausdorff") or zeta (any other target) at every cell; in_range marks
-    the alphas with 0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal);
-    bound is hausdorff_bound or fractal_bound on the in-range cells with
-    contraction < 1 and NaN elsewhere.
-
-    Every value is bitwise equal to the scalar functions at
-    replace(sc, t0=t0): e^{l0 t0} and e^{l1 t0} come from math.exp once per
-    row, the contraction is one array expression in eta/zeta's operation
-    order, and math.log is mapped over the contraction on the feasible
-    cells only (np.log may differ from math.log in the last ulp), with
-    `_log_contraction`'s log-sum-exp where it underflowed to 0.  The
-    alpha-only log terms are taken once, and the bound is one array
-    division.
-    """
-    hausdorff = target == "hausdorff"
-    t0_list = t0s.tolist()
-    e0 = np.array([math.exp(sc.lambda0 * t0) for t0 in t0_list])[:, None]
-    e1 = np.array([math.exp(sc.lambda1 * t0) for t0 in t0_list])[:, None]
-    a = alphas[None, :]
-    # eta/zeta's float arithmetic overflows to inf silently; so does this
-    with np.errstate(over="ignore"):
-        if hausdorff:
-            contraction = a * sc.M1 * e0 + 2.0 * sc.M2 * e1 + 2.0 * sc.M3 * e0
-        else:
-            contraction = a * e0 + sc.M2 * e1 + sc.M3 * e0
-    in_range = (alphas > 0.0) & (alphas < (2.0 if hausdorff else sc.M1))
-    feasible = in_range & (contraction < 1.0)
-    L = sc.Lambda
-    # the fractal numerator is negated so that both bounds are
-    # num / ln(contraction); negation is exact in IEEE arithmetic
-    num = np.array([(-math.log(L) - L * math.log(2.0 + 4.0 / x) if hausdorff
-                     else -(math.log(L) + L * math.log(2.0 + 2.0 * sc.M1 / x)))
-                    if r else math.nan
-                    for x, r in zip(alphas.tolist(), in_range.tolist())])
-    logs = np.ones(contraction.shape)
-    positive = feasible & (contraction > 0.0)
-    logs[positive] = list(map(math.log, contraction[positive].tolist()))
-    for i, j in zip(*np.nonzero(feasible & ~positive)):  # underflowed to 0
-        logs[i, j] = _log_contraction(sc, float(alphas[j]), t0_list[i],
-                                      hausdorff, 0.0)
-    bound = np.divide(num, logs, out=np.full(contraction.shape, math.nan),
-                      where=feasible)
-    return contraction, in_range, bound
+def _best_t0(sc: SqueezeConstants, alphas: np.ndarray, t_lo: float,
+             t_hi: float, hausdorff: bool) -> np.ndarray:
+    """The t0 in [t_lo, t_hi] of least contraction at each of alphas, and
+    so of least bound.  The contraction A e^{l0 t0} + B e^{l1 t0}
+    (`_weights`) is convex in t0: nonincreasing when l0, l1 <= 0,
+    nondecreasing when l0, l1 >= 0, and otherwise least at its one
+    stationary point ln(-B l1 / (A l0)) / (l0 - l1), taken as a sum of
+    logs so that no product or quotient over- or underflows."""
+    l0, l1 = sc.lambda0, sc.lambda1
+    if l0 <= 0.0 and l1 <= 0.0:
+        return np.full(alphas.shape, t_hi)
+    if l0 >= 0.0 and l1 >= 0.0:
+        return np.full(alphas.shape, t_lo)
+    a, b = _weights(sc, alphas, hausdorff)
+    # l0 and l1 have opposite signs: -l1 / l0 = |l1| / |l0|
+    t = ((math.log(b) + math.log(abs(l1)) - math.log(abs(l0)) - np.log(a))
+         / (l0 - l1))
+    return np.clip(t, t_lo, t_hi)
 
 
 def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
@@ -440,14 +419,15 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     which only t0 varies (sc's own t0 is not used).
 
     alpha_range/t0_range: (lo, hi) intervals.  A grid x grid array scan
-    (`_scan_grid`), then coordinate-wise golden-section refinement to 1e-6
-    of the scalar bound, evaluated at (alpha, t0) directly (`_bound_at`,
-    the same numbers as the bound functions at replace(sc, t0=t)).  Only
-    cells with 0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal) count
-    toward the argmin and toward min_contraction, and only those with
-    contraction < 1 toward the argmin.  Returns a structured infeasibility
-    report (never an exception) when no grid cell is feasible.  Either way
-    the result carries the scan, which `bound_grid_csv` writes.
+    (`_evaluate`), which the result carries as scan for `bound_grid_csv`.
+    Only cells with 0 < alpha < 2 (hausdorff) or 0 < alpha < M1 (fractal)
+    count toward the argmin and toward min_contraction, and only those
+    with contraction < 1 toward the argmin.  Then alpha is refined on the
+    profile bound(alpha, t*(alpha)), t* the closed-form best t0 of
+    `_best_t0`: at the grid's alphas, then by scans of 33 points on the
+    bracket around the last scan's best, down to a scan at most 1e-6 wide.
+    The grid's best cell is kept where it is better.  Returns a structured
+    infeasibility report (never an exception) when no cell is feasible.
     """
     if target not in ("hausdorff", "fractal"):
         raise ConfigError(f"target must be hausdorff or fractal, got {target}")
@@ -458,15 +438,12 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
     hausdorff = target == "hausdorff"
     alpha_max = 2.0 if hausdorff else sc.M1
 
-    def evaluate(alpha, t0):
-        """Bound value at (alpha, t0), or inf when infeasible there."""
-        val = (_bound_at(sc, alpha, t0, hausdorff)
-               if 0.0 < alpha < alpha_max else None)
-        return math.inf if val is None else val
-
     alphas = np.linspace(a_lo, a_hi, grid)
     t0s = np.linspace(t_lo, t_hi, grid)
-    contraction, in_range, bound = _scan_grid(sc, alphas, t0s, target)
+    contraction, bound = _evaluate(sc, alphas[None, :], t0s[:, None],
+                                   hausdorff)
+    in_range = alphas < alpha_max
+    bound[:, ~in_range] = math.nan
     scan = (alphas, t0s, contraction, bound)
     min_contraction = float(np.min(contraction, where=in_range,
                                    initial=math.inf))
@@ -476,24 +453,27 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
         return OptimizeResult(
             feasible=False, alpha=None, t0=None, bound=None, target=target,
             min_contraction=min_contraction,
-            reasons={"constraint": f"{'eta' if target == 'hausdorff' else 'zeta'} >= 1 "
+            reasons={"constraint": f"{'eta' if hausdorff else 'zeta'} >= 1 "
                                    "everywhere on the grid",
                      "min_contraction": min_contraction},
             scan=scan)
     i, j = divmod(int(np.argmin(vals)), len(alphas))
     best = (best_val, float(alphas[j]), float(t0s[i]))
-    _, alpha, t0 = best
-    # coordinate-wise golden-section refinement
-    for _ in range(3):
-        alpha = _golden_min(lambda a: evaluate(a, t0), a_lo, a_hi)
-        t0 = _golden_min(lambda t: evaluate(alpha, t), t_lo, t_hi)
-    val = evaluate(alpha, t0)
-    if val > best[0]:  # refinement should never lose to the grid
-        val, alpha, t0 = best
+    xs = alphas
+    while True:
+        ts = _best_t0(sc, xs, t_lo, t_hi, hausdorff)
+        _, profile = _evaluate(sc, xs, ts, hausdorff)
+        profile[(xs >= alpha_max) | np.isnan(profile)] = math.inf
+        k = int(np.argmin(profile))
+        if profile[k] <= best[0]:
+            best = (float(profile[k]), float(xs[k]), float(ts[k]))
+        if not (xs[-1] - xs[0] > 1e-6 and profile[k] < math.inf):
+            break
+        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)], 33)
+    val, alpha, t0 = best
     return OptimizeResult(
-        feasible=True, alpha=float(alpha), t0=float(t0), bound=float(val),
-        target=target, min_contraction=min_contraction, reasons={},
-        scan=scan)
+        feasible=True, alpha=alpha, t0=t0, bound=val, target=target,
+        min_contraction=min_contraction, reasons={}, scan=scan)
 
 
 def bound_grid_csv(result: OptimizeResult, path_or_buf) -> None:

@@ -43,25 +43,8 @@ class SpectralDecomposition:
     K_margin: float | None = None
 
     @property
-    def Lambda(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rho1(self) -> float:
-        return self.spectrum.rhos[0]
-
-    @property
     def rho_m(self) -> float:
         return self.spectrum.rhos[self.m - 1]
-
-    @property
-    def rho_m1(self) -> float:
-        return self.spectrum.rhos[self.m]
-
-    def basis_segments(self) -> list[HistorySegment]:
-        n, d = self.grid.num_nodes, self.grid.value_dim
-        return [HistorySegment(self.grid, row.reshape(n, d))
-                for row in self.basis]
 
 
 def build_decomposition(spectrum: SpectrumTable, m: int, params: RDEParams,

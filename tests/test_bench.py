@@ -37,7 +37,8 @@ def _load_bench():
 
 def test_baseline_pairs_alternate(tmp_path, monkeypatch):
     # a fake run: this checkout does 2 ops/s and 1 MiB more than the
-    # baseline's 1 op/s, except in the third pair, where the ops tie
+    # baseline's 1 op/s, except in the third pair, where the ops tie, and
+    # its op tail is 3 s against 2 s
     bench = _load_bench()
     baseline = tmp_path / "parent"
     (baseline / "perfbench").mkdir(parents=True)
@@ -49,7 +50,7 @@ def test_baseline_pairs_alternate(tmp_path, monkeypatch):
         calls.append((mine, workload, seed))
         tie = mine and sum(c[0] for c in calls) == 3
         values = {"setup_s": 0.5, "ops_per_s": 1.0 if tie else 1.0 + mine,
-                  "op_p50_s": 1.0, "op_tail_s": 2.0,
+                  "op_p50_s": 1.0, "op_tail_s": 2.0 + mine,
                   "peak_rss_mb": 40.0 + mine}
         return {"correct": True, "failed": 0, "attempted": 10,
                 "metrics": {k: {"value": v, "unit": "u"}
@@ -74,6 +75,11 @@ def test_baseline_pairs_alternate(tmp_path, monkeypatch):
     rss = first["pairs"]["peak_rss_mb"]
     assert (rss["wins"], rss["better"]) == (0, "lower")
     assert first["pairs"]["setup_s"]["wins"] == 0
+    # +50 % op tail is past its 25 % bound; +2.5 % memory is inside its 5 %
+    assert first["pairs"]["op_tail_s"]["worse_than_bound"] is True
+    assert rss["worse_than_bound"] is False
+    assert not any(first["pairs"][name]["worse_than_bound"]
+                   for name in ("setup_s", "ops_per_s", "op_p50_s"))
     assert second["pairs"]["ops_per_s"]["wins"] == 4
 
 

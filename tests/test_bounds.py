@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdedim.bounds import (BoundReport, OptimizeResult, SqueezeConstants,
-                           _contraction, _golden_min, _log_contraction,
+                           _best_t0, _evaluate, _log_contraction,
                            absorbing_entry_time, absorbing_radius,
                            bound_grid_csv, bound_report, eta, fractal_bound,
                            fractal_bound_alpha_free, hausdorff_bound,
@@ -234,8 +234,31 @@ class TestOptimizer:
         assert len(lines) == 65
 
 
-# Reference implementations: the per-cell grid loops that `_scan_grid`
-# replaced in optimize_bound and bound_grid_csv, kept verbatim in logic.
+# Reference implementations: the per-cell grid loops that the array scan
+# replaced in optimize_bound and bound_grid_csv, kept verbatim in logic,
+# and the coordinate-wise golden-section search that the closed-form t0 and
+# the alpha zoom replaced.
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
+    """Golden-section argmin of fn on [lo, hi] (inf = infeasible)."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return c if fc <= fd else d
+
 
 def _reference_optimize_bound(sc_of_t0, alpha_range, t0_range, target,
                               grid):
@@ -263,19 +286,27 @@ def _reference_optimize_bound(sc_of_t0, alpha_range, t0_range, target,
     t0s = np.linspace(t_lo, t_hi, grid)
     best = (math.inf, None, None)
     min_contraction = math.inf
-    for t0 in t0s:
-        for alpha in alphas:
+    # the scan: every cell's eta or zeta, and its bound (NaN where none)
+    cells = np.empty((grid, grid))
+    bounds = np.full((grid, grid), math.nan)
+    for i, t0 in enumerate(t0s):
+        for j, alpha in enumerate(alphas):
             val, contraction = evaluate(alpha, t0)
             min_contraction = min(min_contraction, contraction)
             if val < best[0]:
                 best = (val, alpha, t0)
+            c = sc_of_t0(t0)
+            cells[i, j] = (eta if target == "hausdorff" else zeta)(c, alpha)
+            if val < math.inf:
+                bounds[i, j] = val
+    scan = (alphas, t0s, cells, bounds)
     if best[1] is None:
         return OptimizeResult(
             feasible=False, alpha=None, t0=None, bound=None, target=target,
             min_contraction=min_contraction,
             reasons={"constraint": f"{'eta' if target == 'hausdorff' else 'zeta'} >= 1 "
                                    "everywhere on the grid",
-                     "min_contraction": min_contraction})
+                     "min_contraction": min_contraction}, scan=scan)
     _, alpha, t0 = best
     for _ in range(3):
         alpha = _golden_min(lambda a: evaluate(a, t0)[0], a_lo, a_hi)
@@ -285,7 +316,8 @@ def _reference_optimize_bound(sc_of_t0, alpha_range, t0_range, target,
         val, alpha, t0 = best
     return OptimizeResult(
         feasible=True, alpha=float(alpha), t0=float(t0), bound=float(val),
-        target=target, min_contraction=min_contraction, reasons={})
+        target=target, min_contraction=min_contraction, reasons={},
+        scan=scan)
 
 
 def _reference_bound_grid_csv(sc_of_t0, alpha_range, t0_range, f, target,
@@ -358,10 +390,18 @@ _PINNED = [
 ]
 
 
+# fdedim optimize --M1 0.5 --M2 0.05 --M3 0.02 --lambda0 0.3 --lambda1 -1
+# --Lambda 1 --alpha-min 0.01 --alpha-max 1.99 --t0-min 0.1 --t0-max 20:
+# lambda0 > 0 > lambda1, so the best t0 is interior at every alpha
+_INTERIOR = dict(fam=(0.5, 0.05, 0.02, 0.3, -1.0, 1), alpha_range=(0.01, 1.99),
+                 t0_range=(0.1, 20.0), target="hausdorff", grid=64)
+
+
 class TestGridScanMatchesReference:
     """The array scan of optimize_bound, and bound_grid_csv's text of it,
-    equal the per-cell loops they replaced: the same OptimizeResult
-    (min_contraction included) and byte-identical CSV text."""
+    equal the per-cell loops they replaced: the same scan, feasibility,
+    min_contraction and reasons, and byte-identical CSV text.  The optimum
+    is no worse than the golden-section search's, to 1e-7 relative."""
 
     @given(fam=_family_args,
            alpha_range=st.tuples(st.floats(0.001, 3.0),
@@ -371,13 +411,34 @@ class TestGridScanMatchesReference:
                                                        "fractal"]),
            grid=st.integers(2, 16))
     @_examples(_PINNED)
+    @example(**_INTERIOR)
     @settings(max_examples=80, deadline=None)
     def test_optimize_bound(self, fam, alpha_range, t0_range, target, grid):
         c = _family(*fam)
         got = optimize_bound(c, alpha_range, t0_range, target, grid)
         want = _reference_optimize_bound(_of_t0(c), alpha_range, t0_range,
                                          target, grid)
-        assert got.to_dict() == want.to_dict()
+        assert (got.feasible, got.min_contraction, got.reasons) == \
+            (want.feasible, want.min_contraction, want.reasons)
+        for mine, ref in zip(got.scan, want.scan):
+            np.testing.assert_array_equal(mine, ref)
+        if got.feasible:
+            assert got.bound <= want.bound * (1.0 + 1e-7)
+            scalar = (hausdorff_bound if target == "hausdorff"
+                      else fractal_bound)
+            assert scalar(replace(c, t0=got.t0), got.alpha) == got.bound
+        else:
+            assert got.bound is want.bound is None
+
+    def test_interior_optimum_beats_golden_section(self):
+        c = _family(*_INTERIOR["fam"])
+        args = [_INTERIOR[k] for k in ("alpha_range", "t0_range", "target",
+                                       "grid")]
+        got = optimize_bound(c, *args)
+        want = _reference_optimize_bound(_of_t0(c), *args)
+        assert want.bound == 2.0226703501634695
+        assert got.bound < want.bound
+        assert _INTERIOR["t0_range"][0] < got.t0 < _INTERIOR["t0_range"][1]
 
     @given(fam=_family_args,
            alpha_range=st.tuples(st.floats(0.001, 3.0),
@@ -396,6 +457,52 @@ class TestGridScanMatchesReference:
         _reference_bound_grid_csv(_of_t0(c), alpha_range, t0_range, want,
                                   target, grid)
         assert got.getvalue() == want.getvalue()
+
+
+_rate = st.one_of(st.just(0.0), st.floats(-100.0, 2.0))
+
+
+class TestBestT0:
+    """_best_t0's t0 is no worse than a dense scan of the t0 range, at
+    every sign of lambda0 and lambda1, also where the lambda0 term
+    underflows (lambda0 t0 < -745)."""
+
+    @given(fam=st.tuples(st.floats(0.05, 4.0), st.floats(0.001, 1.5),
+                         st.floats(0.0, 1.0), _rate, _rate,
+                         st.integers(1, 4)),
+           alpha=st.floats(0.001, 4.0), t0_range=_t0_range,
+           hausdorff=st.booleans())
+    @example(fam=(0.5, 0.05, 0.02, 0.0, 0.0, 1), alpha=1.0,
+             t0_range=(0.5, 3.0), hausdorff=True)
+    @example(fam=(0.5, 0.05, 0.02, 0.3, -1.0, 1), alpha=0.12,
+             t0_range=(0.1, 20.0), hausdorff=True)
+    @example(fam=(0.5, 0.05, 0.02, -1.0, 0.3, 1), alpha=0.2,
+             t0_range=(0.1, 20.0), hausdorff=False)
+    @example(fam=(2.0, 1.0, 0.5, -41.0, -45.0, 1), alpha=1.0,
+             t0_range=(18.5, 20.0), hausdorff=True)
+    @example(fam=(2.0, 1.0, 0.5, -60.0, 0.01, 1), alpha=1.0,
+             t0_range=(13.0, 20.0), hausdorff=False)
+    @example(fam=(2.0, 1.0, 0.5, 0.01, -60.0, 1), alpha=1.0,
+             t0_range=(13.0, 20.0), hausdorff=True)
+    @example(fam=(2.0, 1.0, 0.5, 5e-324, -1.0, 1), alpha=1.0,
+             t0_range=(0.5, 3.0), hausdorff=True)
+    @example(fam=(0.1, 0.01, 0.0, 1.0, -5e-324, 1), alpha=0.001,
+             t0_range=(0.5, 3.0), hausdorff=True)
+    @settings(max_examples=150, deadline=None)
+    def test_no_worse_than_dense_scan(self, fam, alpha, t0_range, hausdorff):
+        c = _family(*fam)
+        t_lo, t_hi = t0_range
+        (t,) = _best_t0(c, np.array([alpha]), t_lo, t_hi, hausdorff)
+        assert t_lo <= t <= t_hi
+        ts = np.linspace(t_lo, t_hi, 2001)
+        (best,), _ = _evaluate(c, np.array([alpha]), np.array([t]), hausdorff)
+        dense, _ = _evaluate(c, np.array([alpha]), ts, hausdorff)
+        assert best <= dense.min() * (1.0 + 1e-12)
+        # in logs, which stay finite where the contraction underflows
+        log_best = _log_contraction(c, alpha, t, hausdorff)
+        log_dense = min(_log_contraction(c, alpha, x, hausdorff)
+                        for x in ts.tolist())
+        assert log_best <= log_dense + 1e-12 * max(1.0, abs(log_dense))
 
 
 class TestRdeConstants:
@@ -596,9 +703,9 @@ class TestContractionUnderflow:
         # form agrees with math.log of it
         c = sc(**self.UNDER, t0=(700.0 - shift) / 41.0)
         for hausdorff in (True, False):
-            value = _contraction(c, alpha, c.t0, hausdorff)
+            value = eta(c, alpha) if hausdorff else zeta(c, alpha)
             assert value > 0.0
-            assert _log_contraction(c, alpha, c.t0, hausdorff, 0.0) == \
+            assert _log_contraction(c, alpha, c.t0, hausdorff) == \
                 pytest.approx(math.log(value), rel=1e-13)
 
     @given(fam=_family_args, alpha=st.floats(0.001, 4.0),

@@ -166,15 +166,16 @@ class TestOptimize:
         ids=["feasible", "infeasible"])
     def test_scans_grid_once(self, tmp_path, monkeypatch, constants,
                              expected):
-        # the CSV is the optimizer's own scan, written also before exit 3
+        # the CSV is the optimizer's own scan, written also before exit 3:
+        # the one 2-D call of the bound evaluator
         from fdedim import bounds
-        calls = count_calls(monkeypatch, bounds, "_scan_grid")
+        calls = count_calls(monkeypatch, bounds, "_evaluate")
         code, out = run(["optimize"] + constants
                         + ["--Lambda", "1", "--alpha-min", "0.1",
                            "--alpha-max", "1.9", "--t0-min", "0.5",
                            "--t0-max", "2.0"], tmp_path)
         assert code == expected
-        assert len(calls) == 1
+        assert [alphas.ndim for _, alphas, *_ in calls].count(2) == 1
         with open(out / "bound_grid.csv", newline="") as f:
             assert len(list(csv.reader(f))) == 1 + 64 * 64
 
@@ -366,14 +367,16 @@ class TestChecksAndPipeline:
         assert len(calls) == 1
 
     def test_pipeline_scans_grids_twice(self, tmp_path, monkeypatch):
-        # one scan per optimized target; the CSV reuses the Hausdorff one
+        # one grid scan (the evaluator's one 2-D call) per optimized
+        # target; the CSV reuses the Hausdorff one
         from fdedim import bounds
-        calls = count_calls(monkeypatch, bounds, "_scan_grid")
+        calls = count_calls(monkeypatch, bounds, "_evaluate")
         code, _ = run(["pipeline"] + self.RDE
                       + ["--T", "3", "--m", "1", "--k-trials", "4",
                          "--transient", "1.5"], tmp_path)
         assert code == 0
-        assert [target for *_, target in calls] == ["hausdorff", "fractal"]
+        assert [hausdorff for _, alphas, _, hausdorff in calls
+                if alphas.ndim == 2] == [True, False]
 
     def test_pipeline_deterministic(self, tmp_path):
         argv = (["pipeline"] + self.RDE

@@ -333,14 +333,16 @@ class TestCheckSqueeze:
         spectrum = ordered_spectrum(1.0, 0.0, 1.0, 2, -9.0)
         grid = rde_grid(params, 33)
         decomp = build_decomposition(spectrum, 1, params, grid)
-        phi = decomp.basis_segments()[0]
+        phi = HistorySegment(grid, decomp.basis[0].reshape(
+            grid.num_nodes, grid.value_dim))
         dt = grid.spacing / 2.0
         t1 = linear_semigroup(params, phi, 4.0, dt)
         t2 = linear_semigroup(params, HistorySegment.zero(grid), 4.0, dt)
         from fdedim.bounds import SqueezeConstants
         sc = SqueezeConstants(M1=1.0, M2=1.0, M3=1e-12,
-                              lambda0=decomp.rho1, lambda1=decomp.rho_m,
-                              Lambda=decomp.Lambda, t0=1.0)
+                              lambda0=decomp.spectrum.rhos[0],
+                              lambda1=decomp.rho_m,
+                              Lambda=decomp.basis.shape[0], t0=1.0)
         rep = check_squeeze(t1, t2, decomp, sc)
         assert rep["min_slack_P"] > -1e-6
 
@@ -804,9 +806,9 @@ class TestArrayChecksMatchPerSample:
         params = rde_decomp.params
         t1, t2 = _pair(params, rde_decomp.grid, seed)
         sc = SqueezeConstants(M1=M1, M2=M2, M3=M3,
-                              lambda0=rde_decomp.rho1,
-                              lambda1=rde_decomp.rho_m1,
-                              Lambda=rde_decomp.Lambda, t0=1.0)
+                              lambda0=rde_decomp.spectrum.rhos[0],
+                              lambda1=rde_decomp.spectrum.rhos[rde_decomp.m],
+                              Lambda=rde_decomp.basis.shape[0], t0=1.0)
         rep = check_squeeze(t1, t2, rde_decomp, sc)
         rows, violations = self._reference(
             t1, t2, lambda w, which: project(rde_decomp, w, which), sc)

@@ -37,7 +37,7 @@ def undelayed():
 
 class TestBuild:
     def test_basis_size_is_k_m(self, delayed):
-        assert delayed.Lambda == delayed.spectrum.k(1)
+        assert delayed.basis.shape[0] == delayed.spectrum.k(1)
 
     def test_grid_must_be_modal(self):
         params = RDEParams(a=1.0, b=0.0, r=1.0, num_modes=2)
@@ -85,7 +85,9 @@ class TestProjection:
             back - h) < 1e-14
 
     def test_basis_fixed_and_annihilated(self, delayed):
-        for seg in delayed.basis_segments():
+        g = delayed.grid
+        for row in delayed.basis:
+            seg = HistorySegment(g, row.reshape(g.num_nodes, g.value_dim))
             assert sup_norm(project(delayed, seg, "P") - seg) <= 1e-10
             assert sup_norm(project(delayed, seg, "Q")) <= 1e-10
 
@@ -103,7 +105,9 @@ class TestProjection:
         h = random_segment(delayed.grid, rng)
         coeffs = delayed.functionals @ h.values.ravel()
         rebuilt = HistorySegment.zero(delayed.grid)
-        for c, seg in zip(coeffs, delayed.basis_segments()):
+        g = delayed.grid
+        for c, row in zip(coeffs, delayed.basis):
+            seg = HistorySegment(g, row.reshape(g.num_nodes, g.value_dim))
             rebuilt = rebuilt + float(c) * seg
         assert sup_norm(rebuilt - project(delayed, h, "P")) <= 1e-10
 
@@ -179,7 +183,7 @@ class TestFlowInteraction:
         ns = traj.norms()
         mask = (ts >= 2.0) & (ts <= 10.0)
         slope = np.polyfit(ts[mask], np.log(ns[mask]), 1)[0]
-        assert slope <= delayed.rho_m1 + 0.05
+        assert slope <= delayed.spectrum.rhos[delayed.m] + 0.05
 
     def test_commutes_with_linear_flow(self, delayed):
         rng = np.random.default_rng(44)
@@ -201,7 +205,7 @@ class TestDichotomyFit:
         # b=0, mode-2 eigen-history: the decay ratio in segment sup-norm is
         # exactly e^{(rho_2 - rho_1) t} <= 1 (closed-form modal oracle)
         g = undelayed.grid
-        rho2 = undelayed.rho_m1  # -5
+        rho2 = undelayed.spectrum.rhos[undelayed.m]  # -5
         vals = np.zeros((g.num_nodes, g.value_dim))
         vals[:, 1] = np.exp(rho2 * g.nodes())
         x = HistorySegment(g, vals)
