@@ -16,7 +16,10 @@ two alternating which runs first.  Each result then also holds the
 baseline's summary and, per metric, the ratio change / baseline of every
 pair, the number of pairs the change won (ties count for neither), and
 worse_than_bound: whether the change's median is worse than the
-baseline's by more than the metric's bound times the baseline's median.
+baseline's by more than the metric's bound times the baseline's median,
+and unresolved: whether the baseline's own quartile spread exceeds that
+bound times its median, so that its runs cannot tell such a change from
+noise, unless every run of the change is better than every baseline run.
 
 The workload names and the end-to-end metrics, with their directions and
 bounds, are read from BENCHMARK.json at the repository root.
@@ -56,16 +59,22 @@ def summarise(results: list) -> dict:
                   if name in r["metrics"]]
         if not values:
             continue
-        q1, _, q3 = (statistics.quantiles(values, n=4)
-                     if len(values) > 1 else values * 3)
-        out[name] = {"median": statistics.median(values), "q1": q1,
-                     "q3": q3, "unit": results[0]["metrics"][name]["unit"]}
+        out[name] = dict(summarise_values(values),
+                         unit=results[0]["metrics"][name]["unit"])
     return out
 
 
+def summarise_values(values: list) -> dict:
+    """Median and lower and upper quartiles of a nonempty list."""
+    q1, _, q3 = (statistics.quantiles(values, n=4)
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
 def compare(change: list, baseline: list) -> dict:
-    """Per metric, change / baseline of each pair, the pairs won, and
-    whether the change's median is worse than the bound allows."""
+    """Per metric, change / baseline of each pair, the pairs won, whether
+    the change's median is worse than the bound allows, and whether the
+    baseline's spread leaves the comparison unresolved."""
     out = {}
     for name, (better, bound) in METRICS.items():
         pairs = [(c["metrics"][name]["value"], b["metrics"][name]["value"])
@@ -76,9 +85,16 @@ def compare(change: list, baseline: list) -> dict:
         wins = sum(c > b if better == "higher" else c < b for c, b in pairs)
         mine, base = (statistics.median(side) for side in zip(*pairs))
         worse = base - mine if better == "higher" else mine - base
+        spread = summarise_values([b for _, b in pairs])
+        ahead = (min(c for c, _ in pairs) > max(b for _, b in pairs)
+                 if better == "higher" else
+                 max(c for c, _ in pairs) < min(b for _, b in pairs))
         out[name] = {"ratios": [c / b for c, b in pairs], "wins": wins,
                      "pairs": len(pairs), "better": better,
-                     "worse_than_bound": worse > bound * base}
+                     "worse_than_bound": worse > bound * base,
+                     "unresolved": (spread["q3"] - spread["q1"]
+                                    > bound * spread["median"])
+                     and not ahead}
     return out
 
 

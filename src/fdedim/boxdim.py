@@ -13,14 +13,15 @@ columns.  Distinct rows are found by sorting one item per row.  When the
 product of the column radices (exact in Python ints) is below 2**63, the
 item is the row's mixed-radix int64 code, and equal codes are equal rows;
 otherwise it is the row viewed as one opaque byte string.  A box count
-reads its radices, floor(span / (2 eps)) + 1, off the frame and sums each
-row's cells times their place values; `_dedup`'s signed keys scan theirs.
+reads its radices, floor(span / (2 eps)) + 1, off the frame; `_dedup`
+shifts its keys to start at 0 and reads theirs off the shifted maxima.
 Box counting in a few varying columns takes the code; the pipeline's
 samples (99 columns) and their 1e-9 duplicate keys take the byte strings.
 
-The automatic fit window is chosen from the R^2 of every window at once,
-with np.polyfit deciding the windows where the two could disagree, so the
-choice, the slope and the R^2 are those of a polyfit of every window.
+Every fit window, chosen or given, is fitted by one closed form from the
+deviations about the window's own means.  Where the counts do not vary
+over a window, its slope is 0.0 and its R^2 1.0: a sample whose counts are
+equal at every level is a finite set at those scales, of dimension 0.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import write_csv
-from .errors import ConfigError, DegenerateSampleError
+from .errors import ConfigError
 
 DUPLICATE_RESOLUTION = 1e-9
 # int64 holds the integers below this in magnitude, and row codes below it
@@ -76,20 +77,6 @@ class AttractorSample:
         return _offsets(self.points, *self.frame)
 
 
-def _place_values(radices) -> list | None:
-    """Mixed-radix place values of columns with the given radices, the
-    first column most significant, or None when the product of the
-    radices (exact in Python ints) reaches 2**63."""
-    places = []
-    size = 1
-    for radix in reversed(radices):
-        places.append(size)
-        size *= radix
-        if size >= _INT64_LIMIT:
-            return None
-    return places[::-1]
-
-
 def _byte_rows(keys: np.ndarray) -> np.ndarray:
     """Each row of an (n, k) int64 array as one opaque byte string."""
     keys = np.ascontiguousarray(keys)
@@ -97,31 +84,37 @@ def _byte_rows(keys: np.ndarray) -> np.ndarray:
     return keys.view(row).ravel()
 
 
-def _row_items(keys: np.ndarray) -> np.ndarray:
-    """One sortable item per row of an (n, k) int64 array, k >= 1, equal
-    exactly for equal rows.
+def _row_items(columns: np.ndarray, radices: list) -> np.ndarray:
+    """One sortable item per row of (k, n) int64 columns, k >= 1, whose
+    column j runs from 0 to radices[j] - 1, equal exactly for equal rows.
 
-    The item is the row's mixed-radix code, (keys - min) @ place values,
-    when the product of the column radices is below 2**63; otherwise it is
-    the row viewed as one opaque byte string.
+    The item is the row's mixed-radix int64 code, the first column most
+    significant, when the product of the radices (exact in Python ints) is
+    below 2**63, so that no partial code overflows; otherwise it is the
+    row viewed as one opaque byte string.
     """
-    lo = keys.min(axis=0)
-    places = _place_values([high - low + 1 for low, high in
-                            zip(lo.tolist(), keys.max(axis=0).tolist())])
-    if places is None:
-        return _byte_rows(keys)
-    return (keys - lo) @ np.array(places, dtype=np.int64)
+    if math.prod(radices) >= _INT64_LIMIT:
+        return _byte_rows(columns.T)
+    codes = columns[0].copy()
+    for column, radix in zip(columns[1:], radices[1:]):
+        codes *= radix
+        codes += column
+    return codes
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
     """Increasing indices of the first occurrence of each distinct row of an
     (n, k) int64 array, k >= 1.
 
-    A single 1-D unique over `_row_items` (one int64 code per row when the
-    rows fit one word, else one byte string per row) replaces the much
-    slower row-wise ``np.unique(axis=0)``.
+    A single 1-D unique over `_row_items` of the keys shifted to start at 0
+    replaces the much slower row-wise ``np.unique(axis=0)``.  A shift that
+    wraps in int64 (a column range of 2**63 or more, which takes the byte
+    strings) still maps distinct keys to distinct keys.
     """
-    _, idx = np.unique(_row_items(keys), return_index=True)
+    lo = keys.min(axis=0)
+    radices = [high - low + 1 for low, high in
+               zip(lo.tolist(), keys.max(axis=0).tolist())]
+    _, idx = np.unique(_row_items((keys - lo).T, radices), return_index=True)
     return np.sort(idx)
 
 
@@ -218,10 +211,7 @@ def _count_boxes(offsets: np.ndarray, span: np.ndarray, eps: float) -> int:
     frame has the given span.
 
     Every varying column's offsets run from exactly 0 to exactly its span,
-    so its cells run from 0 to floor(span / (2 eps)) with no scan; each
-    row's mixed-radix code is the sum of its cells times the place values
-    of those radices, or, when their product reaches 2**63, the row of
-    cells as one byte string.
+    so its cells run from 0 to floor(span / (2 eps)) with no scan.
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
@@ -234,14 +224,8 @@ def _count_boxes(offsets: np.ndarray, span: np.ndarray, eps: float) -> int:
     width = 2.0 * eps
     # the offsets are >= 0, so truncation is the floor
     cells = (offsets.T / width).astype(np.int64)
-    places = _place_values([int(s / width) + 1
-                            for s in span[span > 0].tolist()])
-    if places is None:
-        return _num_distinct(_byte_rows(cells.T))
-    codes = cells[-1].copy()
-    for column, place in zip(cells[:-1], places):
-        codes += column * place
-    return _num_distinct(codes)
+    return _num_distinct(_row_items(
+        cells, [int(s / width) + 1 for s in span[span > 0].tolist()]))
 
 
 def box_count(points: np.ndarray, eps: float) -> int:
@@ -256,64 +240,45 @@ def box_count(points: np.ndarray, eps: float) -> int:
     return _count_boxes(_offsets(points, origin, span), span, eps)
 
 
-def _fit(x: np.ndarray, y: np.ndarray, i0: int, i1: int) -> tuple:
-    """(slope, R^2) of np.polyfit's least-squares line through the points
-    i0..i1; R^2 is 1.0 where y does not vary."""
-    xs, ys = x[i0:i1 + 1], y[i0:i1 + 1]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
-
-
-def _window_r_squared(x: np.ndarray, y: np.ndarray) -> tuple:
-    """(i0, i1, r2, syy) of every window x[i0:i1 + 1] of >= 4 levels, in
-    the order i0 then i1: the R^2 of its least-squares line and the sum of
-    squared deviations of y about its mean, both from deviations about the
-    window's own means, as one array expression over all windows.
+def _fits(x: np.ndarray, y: np.ndarray, i0s: np.ndarray,
+          i1s: np.ndarray) -> tuple:
+    """(slopes, R^2s) of the least-squares lines through the windows
+    x[i0:i1 + 1], y[i0:i1 + 1] of >= 2 levels, as one array expression over
+    all windows: slope = sxy / sxx and R^2 = sxy^2 / (sxx syy), from the
+    deviations about each window's own means.
 
     Deviations about each window's mean keep syy accurate to a few ulps
     however little y varies; prefix sums of x, y, x^2, y^2 and xy would
     subtract sums of squares about one shared mean, whose rounding error
-    is large next to a small syy.  r2 is 1.0 where syy is 0, as in `_fit`.
+    is large next to a small syy.  Where y does not vary (max == min), the
+    slope is 0.0 and the R^2 1.0 by rule: the deviations about a rounded
+    mean would give rounding noise for both.
     """
-    levels = len(x)
-    i0, i1 = np.array([(lo, hi) for lo in range(levels)
-                       for hi in range(lo + 3, levels)]).T
-    index = np.arange(levels)
-    inside = (index >= i0[:, None]) & (index <= i1[:, None])
+    index = np.arange(len(x))
+    inside = (index >= i0s[:, None]) & (index <= i1s[:, None])
     xy = np.stack([x, y])[:, None, :]
     means = (np.where(inside, xy, 0.0).sum(axis=2, keepdims=True)
-             / (i1 - i0 + 1)[:, None])
+             / (i1s - i0s + 1)[:, None])
     dx, dy = np.where(inside, xy - means, 0.0)
     sxy = np.sum(dx * dy, axis=1)
     sxx = np.sum(dx * dx, axis=1)
     syy = np.sum(dy * dy, axis=1)
-    flat = syy == 0
-    r2 = np.where(flat, 1.0, sxy * sxy / np.where(flat, 1.0, sxx * syy))
-    return i0, i1, r2, syy
+    flat = (np.where(inside, y, np.inf).min(axis=1)
+            == np.where(inside, y, -np.inf).max(axis=1))
+    return (np.where(flat, 0.0, sxy / sxx),
+            np.where(flat, 1.0, sxy * sxy / np.where(flat, 1.0, sxx * syy)))
 
 
 def _auto_window(x: np.ndarray, y: np.ndarray) -> tuple:
     """(i0, i1) of the largest contiguous window of >= 4 points whose
-    `_fit` has R^2 >= 0.98, the first of its length; the full range when
-    there is none.
-
-    `_window_r_squared` gives every window's R^2 at once.  `_fit`'s own
-    R^2 is rounding noise where ln N barely varies (measured off by up to
-    ~1e-20 / syy), and elsewhere the two agreed to within 1e-12, so `_fit`
-    decides the windows with syy < 1e-6 and those within 1e-9 of 0.98:
-    the choice is the one a `_fit` of every window would make.
-    """
-    i0s, i1s, r2s, syy = _window_r_squared(x, y)
-    ok = r2s >= _R2_MIN
-    for k in np.flatnonzero((np.abs(r2s - _R2_MIN) <= 1e-9)
-                            | (syy < 1e-6)).tolist():
-        ok[k] = _fit(x, y, i0s[k], i1s[k])[1] >= _R2_MIN
+    `_fits` R^2 is >= 0.98, the first of its length; the full range when
+    there is none."""
+    levels = len(x)
+    i0s, i1s = np.array([(lo, hi) for lo in range(levels)
+                         for hi in range(lo + 3, levels)]).T
+    ok = _fits(x, y, i0s, i1s)[1] >= _R2_MIN
     if not ok.any():
-        return 0, len(x) - 1
+        return 0, levels - 1
     k = int(np.argmax(np.where(ok, i1s - i0s, -1)))
     return int(i0s[k]), int(i1s[k])
 
@@ -325,6 +290,8 @@ def box_counting_dim(sample: AttractorSample, eps_list,
     eps_list must be decreasing with >= 4 values spanning >= 1.5 decades.
     window (lo, hi) restricts the fit to eps in [lo, hi]; by default the
     largest contiguous window with R^2 >= 0.98 is chosen automatically.
+    Counts equal at every level fit as dimension 0.0 with R^2 1.0, over the
+    full range when the window is automatic.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
@@ -334,15 +301,6 @@ def box_counting_dim(sample: AttractorSample, eps_list,
     if math.log10(eps[0] / eps[-1]) < 1.5:
         raise ConfigError("eps_list must span at least 1.5 decades")
     counts = [_count_boxes(sample.offsets, sample.frame[1], e) for e in eps]
-    if len(set(counts)) < 2:
-        if counts[0] == 1:
-            # a single occupied cell at every scale: dimension 0 exactly
-            return {"estimate": 0.0, "r_squared": 1.0, "eps": eps,
-                    "counts": counts, "window_eps": [eps[0], eps[-1]],
-                    "window_auto": window is None,
-                    "num_points": len(sample)}
-        raise DegenerateSampleError(
-            "fewer than 2 distinct box counts; sample too degenerate")
     x = -np.log(eps)
     y = np.log(counts)
     if window is not None:
@@ -351,18 +309,16 @@ def box_counting_dim(sample: AttractorSample, eps_list,
         if len(idx) < 2:
             raise ConfigError("window contains fewer than 2 epsilon values")
         i0, i1 = idx[0], idx[-1]
-        auto = False
     else:
         i0, i1 = _auto_window(x, y)
-        auto = True
-    slope, r2 = _fit(x, y, i0, i1)
+    (slope,), (r2,) = _fits(x, y, np.array([i0]), np.array([i1]))
     return {
-        "estimate": slope,
-        "r_squared": r2,
+        "estimate": float(slope),
+        "r_squared": float(r2),
         "eps": eps,
         "counts": counts,
         "window_eps": [eps[i0], eps[i1]],
-        "window_auto": auto,
+        "window_auto": window is None,
         "num_points": len(sample),
     }
 

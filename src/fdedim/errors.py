@@ -41,9 +41,5 @@ class NetConstructionError(FdedimError):
     """Greedy covering net failed to terminate below the size guard."""
 
 
-class DegenerateSampleError(FdedimError):
-    """Attractor sample too degenerate for a box-counting fit."""
-
-
 class DegeneratePairError(FdedimError):
     """Trajectory pair with zero initial separation."""

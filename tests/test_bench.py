@@ -38,7 +38,8 @@ def _load_bench():
 def test_baseline_pairs_alternate(tmp_path, monkeypatch):
     # a fake run: this checkout does 2 ops/s and 1 MiB more than the
     # baseline's 1 op/s, except in the third pair, where the ops tie, and
-    # its op tail is 3 s against 2 s
+    # its op tail is 3 s against 2 s; the baseline's median op takes 1 s
+    # and 2 s in turn, against the change's 1 s at seed 0 and 0.9 s at 7
     bench = _load_bench()
     baseline = tmp_path / "parent"
     (baseline / "perfbench").mkdir(parents=True)
@@ -49,8 +50,10 @@ def test_baseline_pairs_alternate(tmp_path, monkeypatch):
         mine = checkout == bench.ROOT
         calls.append((mine, workload, seed))
         tie = mine and sum(c[0] for c in calls) == 3
+        noisy = 1.0 + sum(not c[0] for c in calls) % 2
         values = {"setup_s": 0.5, "ops_per_s": 1.0 if tie else 1.0 + mine,
-                  "op_p50_s": 1.0, "op_tail_s": 2.0 + mine,
+                  "op_p50_s": (0.9 if seed == 7 else 1.0) if mine else noisy,
+                  "op_tail_s": 2.0 + mine,
                   "peak_rss_mb": 40.0 + mine}
         return {"correct": True, "failed": 0, "attempted": 10,
                 "metrics": {k: {"value": v, "unit": "u"}
@@ -81,6 +84,14 @@ def test_baseline_pairs_alternate(tmp_path, monkeypatch):
     assert not any(first["pairs"][name]["worse_than_bound"]
                    for name in ("setup_s", "ops_per_s", "op_p50_s"))
     assert second["pairs"]["ops_per_s"]["wins"] == 4
+    # the baseline's op p50 spreads by 1 s about its 1.5 s median, past the
+    # 25 % bound: unresolved, unless every change run beats every baseline
+    # run; no other metric spreads
+    assert first["pairs"]["op_p50_s"]["unresolved"] is True
+    assert second["pairs"]["op_p50_s"]["unresolved"] is False
+    assert first["baseline"]["op_p50_s"]["median"] == 1.5
+    assert not any(first["pairs"][name]["unresolved"]
+                   for name in first["pairs"] if name != "op_p50_s")
 
 
 def test_baseline_without_runner_rejected(tmp_path, capsys):

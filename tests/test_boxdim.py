@@ -1,22 +1,24 @@
 import csv
+import functools
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdedim import boxdim
 from fdedim.boxdim import (DUPLICATE_RESOLUTION, AttractorSample, _auto_window,
-                           _count_boxes, _dedup, _distinct_rows, _fit,
+                           _count_boxes, _dedup, _distinct_rows, _fits,
                            _num_distinct, _row_items, box_count,
                            box_counting_dim, counts_to_csv, diameter,
                            dyadic_eps, sample_attractor)
 from fdedim.core import (GridSpec, HistorySegment, random_smooth_segment,
                          write_json)
-from fdedim.errors import ConfigError, DegenerateSampleError
+from fdedim.errors import ConfigError
 from fdedim.sim import RDEParams, Trajectory, rde_grid, simulate_rde
 
 
@@ -89,18 +91,31 @@ def dedup_reference(points, resolution):
     return points[np.sort(idx)]
 
 
-def auto_window_reference(x, y):
-    """The per-window polyfit loop that `_auto_window` replaced, verbatim
-    in logic: (i0, i1, slope, R^2) of the chosen window."""
-    def fit(i0, i1):
-        xs, ys = x[i0:i1 + 1], y[i0:i1 + 1]
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-        return float(slope), r2
+def exact_window_fit(x, y, i0, i1):
+    """(slope, R^2) of the least-squares line through the points i0..i1,
+    in exact rational arithmetic on the float inputs and rounded once; a
+    window of equal counts scores slope 0.0 and R^2 1.0.
 
+    np.polyfit's R^2, 1 - ss_res / ss_tot, is not a reference to 1e-12
+    where ln N barely varies: for counts (9999124, 9997836, 9997033,
+    9999052) it is 1.6e-11 off the exact 0.0169730803602840.
+    """
+    xs = [Fraction(v) for v in x[i0:i1 + 1]]
+    ys = [Fraction(v) for v in y[i0:i1 + 1]]
+    if len(set(ys)) == 1:
+        return 0.0, 1.0
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    sxx = sum((a - mx) ** 2 for a in xs)
+    syy = sum((b - my) ** 2 for b in ys)
+    return float(sxy / sxx), float(sxy * sxy / (sxx * syy))
+
+
+def auto_window_reference(x, y):
+    """The per-window loop that `_auto_window` replaced, verbatim in logic
+    but for its fit, now exact: (i0, i1, slope, R^2) of the chosen
+    window."""
+    fit = functools.partial(exact_window_fit, x, y)
     eps = x  # only its length is used
     best = (2, 0, len(eps) - 1)
     found = None
@@ -112,6 +127,24 @@ def auto_window_reference(x, y):
                 found = (i1 - i0, i0, i1)
     _, i0, i1 = found if found is not None else best
     return (i0, i1) + fit(i0, i1)
+
+
+def assert_matches_reference(x, y, i0, i1, slope, r2):
+    """The window equals the reference's; slope and R^2 agree to 1e-12.
+    A draw where some window's reference R^2 is within 1e-12 of 0.98,
+    where the two fits' rounding may choose differently, is skipped."""
+    assume(all(abs(exact_window_fit(x, y, lo, hi)[1] - 0.98) > 1e-12
+               for lo in range(len(x)) for hi in range(lo + 3, len(x))))
+    ref = auto_window_reference(x, y)
+    assert (i0, i1) == ref[:2]
+    assert slope == pytest.approx(ref[2], rel=0, abs=1e-12)
+    assert r2 == pytest.approx(ref[3], rel=0, abs=1e-12)
+
+
+def fit_of(x, y, i0, i1):
+    """`_fits` of the one window i0..i1, as floats."""
+    (slope,), (r2,) = _fits(x, y, np.array([i0]), np.array([i1]))
+    return float(slope), float(r2)
 
 
 def _frame_cloud(n):
@@ -134,10 +167,10 @@ _SIGNED_ZEROS = [np.where(np.arange(n * 2).reshape(n, 2) % 3 == k, -0.0, 0.0)
 
 
 # count sequences (eps = 0.25, 0.125, ...): the first four levels' R^2 is
-# 0.98 to within 1.4e-11; counts constant over 5 or more levels, where the
-# polyfit R^2 is rounding noise (-0.67 over 45 repeated six times); saturated
-# fine levels; two perfect windows of the longest length; and no window
-# reaching 0.98 (the full-range fallback)
+# 0.98 to within 1.4e-11; counts constant over 5 or more levels, which fit
+# flat (a polyfit's R^2 there is rounding noise: -0.67 over 45 repeated six
+# times); saturated fine levels; two perfect windows of the longest length;
+# and no window reaching 0.98 (the full-range fallback)
 _WINDOW_COUNTS = [
     [1147685, 1421937, 2061592, 3161097],
     [1147685, 1421937, 2061592, 3161097, 6400000, 12000000],
@@ -201,7 +234,9 @@ class TestArrayFormsMatchReference:
         got = _distinct_rows(keys)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
-        assert _num_distinct(_row_items(keys)) == len(ref)
+        lo = keys.min(axis=0)
+        radices = [int(h) - int(l) + 1 for l, h in zip(lo, keys.max(axis=0))]
+        assert _num_distinct(_row_items((keys - lo).T, radices)) == len(ref)
 
     @given(point_clouds(), st.floats(1e-3, 20.0))
     @settings(max_examples=60, deadline=None)
@@ -213,15 +248,8 @@ class TestArrayFormsMatchReference:
     def test_box_counting_dim_counts_per_level(self, pts, eps_max):
         # the shared anchor and span give the per-level box_count counts
         eps = dyadic_eps(eps_max, 6)
-        try:
-            counts = box_counting_dim(make_sample(pts), eps)["counts"]
-        except DegenerateSampleError as exc:
-            counts = None
-            assert "fewer than 2 distinct" in str(exc)
-        ref = [box_count_reference(pts, e) for e in eps]
-        assert counts in (ref, None)
-        if counts is None:
-            assert len(set(ref)) < 2 and ref[0] > 1
+        counts = box_counting_dim(make_sample(pts), eps)["counts"]
+        assert counts == [box_count_reference(pts, e) for e in eps]
 
     @given(point_clouds())
     @example(_frame_cloud(1))
@@ -310,6 +338,7 @@ class TestArrayFormsMatchReference:
     @example(_WINDOW_COUNTS[4], False)
     @example(_WINDOW_COUNTS[5], False)
     @example(_WINDOW_COUNTS[6], False)
+    @example([9999124, 9997836, 9997033, 9999052], False)
     @settings(max_examples=200, deadline=None)
     def test_auto_window(self, counts, monotone):
         if monotone:
@@ -317,7 +346,7 @@ class TestArrayFormsMatchReference:
         x = -np.log(dyadic_eps(0.25, len(counts) - 1))
         y = np.log(counts)
         i0, i1 = _auto_window(x, y)
-        assert (i0, i1) + _fit(x, y, i0, i1) == auto_window_reference(x, y)
+        assert_matches_reference(x, y, i0, i1, *fit_of(x, y, i0, i1))
 
     @given(st.integers(4, 9), st.floats(0.2, 2.5), st.floats(0.0, 0.3),
            st.integers(0, 2 ** 32 - 1))
@@ -330,32 +359,35 @@ class TestArrayFormsMatchReference:
             3.0 + slope * (x - x[0]) + rng.normal(0.0, noise, levels))))
         y = np.log(counts)
         i0, i1 = _auto_window(x, y)
-        assert (i0, i1) + _fit(x, y, i0, i1) == auto_window_reference(x, y)
+        assert_matches_reference(x, y, i0, i1, *fit_of(x, y, i0, i1))
 
-    @pytest.mark.parametrize("counts,refits", [
-        (_WINDOW_COUNTS[0], [(0, 3)]),
-        (_WINDOW_COUNTS[2],
-         [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]),
-        ([3, 6, 12, 24, 48, 96], [])])
-    def test_uncertain_windows_refit(self, monkeypatch, counts, refits):
-        # _fit decides the window within 1e-9 of 0.98 and those where ln N
-        # is (nearly) constant; a clean power law needs no refit
-        x = -np.log(dyadic_eps(0.25, len(counts) - 1))
-        y = np.log(counts)
-        calls = []
-        real = boxdim._fit
+    def test_flat_window_is_dimension_zero(self):
+        # six equal counts fit as one flat window; a polyfit of the first
+        # four levels scores R^2 1.0 only by rounding luck
+        x = -np.log(dyadic_eps(0.25, 7))
+        y = np.log(_WINDOW_COUNTS[2])
+        assert _auto_window(x, y) == (0, 5)
+        assert fit_of(x, y, 0, 5) == (0.0, 1.0)
 
-        def counted(x, y, i0, i1):
-            calls.append((i0, i1))
-            return real(x, y, i0, i1)
-
-        monkeypatch.setattr(boxdim, "_fit", counted)
-        _auto_window(x, y)
-        assert calls == refits
+    @given(st.lists(st.integers(1, 10 ** 7), min_size=4, max_size=10),
+           st.integers(1, 10 ** 7), st.data())
+    @example([45] * 6, 45, None)
+    @example([46] * 5, 46, None)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_counts_fit_flat(self, counts, count, data):
+        # a polyfit of six 45s has slope -0.67 and of five 46s -10.0
+        levels = len(counts)
+        i0, i1 = 0, levels - 1
+        if data is not None:
+            i0 = data.draw(st.integers(0, levels - 2))
+            i1 = data.draw(st.integers(i0 + 1, levels - 1))
+        counts[i0:i1 + 1] = [count] * (i1 - i0 + 1)
+        x = -np.log(dyadic_eps(0.25, levels - 1))
+        assert fit_of(x, np.log(counts), i0, i1) == (0.0, 1.0)
 
     def test_pinned_window_near_threshold(self):
         x = -np.log(dyadic_eps(0.25, 3))
-        _, r2 = _fit(x, np.log(_WINDOW_COUNTS[0]), 0, 3)
+        _, r2 = fit_of(x, np.log(_WINDOW_COUNTS[0]), 0, 3)
         assert 0 < abs(r2 - 0.98) < 1e-9
 
     @given(point_clouds(), st.floats(1.0, 20.0))
@@ -363,13 +395,10 @@ class TestArrayFormsMatchReference:
     def test_box_counting_dim_matches_reference(self, pts, eps_max):
         eps = dyadic_eps(eps_max, 6)
         counts = [box_count_reference(pts, e) for e in eps]
-        if len(set(counts)) < 2:
-            return
         got = box_counting_dim(make_sample(pts), eps)
-        i0, i1, slope, r2 = auto_window_reference(-np.log(eps),
-                                                  np.log(counts))
-        assert got["window_eps"] == [eps[i0], eps[i1]]
-        assert (got["estimate"], got["r_squared"]) == (slope, r2)
+        i0, i1 = (eps.index(e) for e in got["window_eps"])
+        assert_matches_reference(-np.log(eps), np.log(counts), i0, i1,
+                                 got["estimate"], got["r_squared"])
 
 
 class TestBoxCount:
@@ -461,10 +490,13 @@ class TestBoxCountingDim:
             box_counting_dim(s, [1.0, 0.9, 0.8, 0.7])  # < 1.5 decades
 
     def test_degenerate_two_points(self):
-        # two far-apart points: N_eps constant at 2 -> degenerate
+        # two far-apart points: N_eps constant at 2, a finite set at these
+        # scales, so dimension 0 over the full range
         s = make_sample([[0.0, 0.0], [100.0, 100.0]])
-        with pytest.raises(DegenerateSampleError):
-            box_counting_dim(s, [1.0, 0.5, 0.25, 0.01])
+        res = box_counting_dim(s, [1.0, 0.5, 0.25, 0.01])
+        assert (res["estimate"], res["r_squared"]) == (0.0, 1.0)
+        assert res["counts"] == [2] * 4
+        assert res["window_eps"] == [1.0, 0.01]
 
     def test_manual_window(self):
         rng = np.random.default_rng(63)

@@ -133,6 +133,25 @@ class TestBounds:
         code, _ = run(["bounds", "--config", str(cfg)], tmp_path)
         assert code == 2
 
+    SIMULATE = ["simulate", "--b", "0.3", "--r", "1", "--num-nodes", "9",
+                "--T", "0.5", "--dt", "0.03125"]
+
+    @pytest.mark.parametrize("argv,value", [
+        # a string for a float flag: not a ValueError traceback
+        (SIMULATE + ["--num-modes", "2"], {"a": "abc"}),
+        # one number for a list flag: not a TypeError traceback
+        (["cover-check", "--dim", "2", "--r1", "2", "--r2", "1"],
+         {"weights": 3}),
+        # a fraction for an int flag, as --num-modes 2.5 is: not 2 modes
+        (SIMULATE + ["--a", "1"], {"num_modes": 2.5})])
+    def test_config_value_takes_flag_type(self, tmp_path, capsys, argv,
+                                          value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(value))
+        code, _ = run(argv + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_feasible_grid_and_optimum(self, tmp_path):
@@ -308,7 +327,7 @@ class TestChecksAndPipeline:
         assert rep["hausdorff"]["bound"] > 0
         # an estimate above the certified bound is flagged, not hidden
         estimate = rep["attractor"]["box_dimension"]["estimate"]
-        above = estimate is not None and estimate > rep["hausdorff"]["bound"]
+        above = estimate > rep["hausdorff"]["bound"]
         flagged = [r.getMessage() for r in caplog.records
                    if "Hausdorff bound" in r.getMessage()]
         assert len(flagged) == int(above)
