@@ -46,8 +46,8 @@ class SqueezeConstants:
             raise ConfigError("M1, M2 must be positive and M3 nonnegative")
         if self.Lambda < 1:
             raise ConfigError("Lambda must be >= 1")
-        if not self.t0 > 0:
-            raise ConfigError("t0 must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise ConfigError("t0 must be positive and finite")
 
     @property
     def gap_ok(self) -> bool:
@@ -433,8 +433,8 @@ def optimize_bound(sc: SqueezeConstants, alpha_range, t0_range,
         raise ConfigError(f"target must be hausdorff or fractal, got {target}")
     a_lo, a_hi = map(float, alpha_range)
     t_lo, t_hi = map(float, t0_range)
-    if not (a_hi > a_lo > 0 and t_hi > t_lo > 0):
-        raise ConfigError("ranges must be positive nonempty intervals")
+    if not (0 < a_lo < a_hi < math.inf and 0 < t_lo < t_hi < math.inf):
+        raise ConfigError("ranges must be positive finite nonempty intervals")
     hausdorff = target == "hausdorff"
     alpha_max = 2.0 if hausdorff else sc.M1
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import write_csv
-from .errors import ConfigError, ContourError, DomainError, TruncationError
+from .errors import ConfigError, ContourError, TruncationError
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-8
-MIN_BOX = 1e-7  # box diagonal below which bisection stops splitting
+PERTURB_ATTEMPTS = 5  # enlarged boxes tried when a contour passes near a root
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +89,13 @@ def lambert_w(x: float, k: int = 0) -> complex:
     return _w_log_newton(cmath.log(x) + 2j * math.pi * k)
 
 
-def lambert_w0(x: float) -> float:
-    """Principal real branch W0(x) for x >= -1/e.
-
-    Arguments at or within 1e-15 below the branch point return W0(-1/e) = -1:
-    the float -1/math.e lies just below the true branch point, where W0 is
-    not real.
-    """
-    x = float(x)
-    if x < -1.0 / math.e - 1e-15:
-        raise DomainError(f"lambert_w0 argument {x} below -1/e")
-    if x <= -1.0 / math.e:
-        return -1.0
-    return lambert_w(x).real
-
-
 def _w0_scaled(b: float, c: float, r: float) -> float:
     """W0(|b| r e^{c r}); past log-argument 700, where e^{c r} would
     overflow, it solves w + ln w = ln(|b| r) + c r instead."""
     u_log = math.log(abs(b) * r) + c * r
     if u_log > 700.0:
         return _w_log_newton(complex(u_log)).real
-    return lambert_w0(abs(b) * r * math.exp(c * r))
+    return lambert_w(abs(b) * r * math.exp(c * r)).real
 
 
 # ---------------------------------------------------------------------------
@@ -162,32 +147,8 @@ def _newton_polish(lam: complex, c: float, b: float, r: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Real rightmost root and rightmost-real-part bound
+# Rightmost-real-part bound
 # ---------------------------------------------------------------------------
-
-def real_rightmost_root(c: float, b: float, r: float):
-    """Largest real root of D, or None if no real root exists.
-
-    All real roots are lam = -c + W_{0,-1}(-b r e^{c r}) / r; the largest
-    comes from the principal branch, defined iff the argument is >= -1/e.
-    """
-    if not r > 0:
-        raise ConfigError("delay r must be positive")
-    if b == 0.0:
-        return -c
-    if b < 0.0:
-        # positive argument: W0 always defined
-        return -c + _w0_scaled(b, c, r) / r
-    # negative argument: exists iff -b r e^{cr} >= -1/e
-    u_log = math.log(b * r) + c * r  # log |argument|
-    if u_log > -1.0 + 1e-14:
-        if u_log > -1.0 + 1e-12:
-            return None
-        # hairline branch point: double real root
-        return -c - 1.0 / r
-    arg = -b * r * math.exp(c * r)
-    return -c + lambert_w0(arg) / r
-
 
 def rightmost_real_part_bound(c: float, b: float, r: float) -> float:
     """Upper bound on Re(lam) over all roots: the solution of
@@ -245,69 +206,19 @@ def winding_number(c: float, b: float, r: float, box,
         f"winding phase steps did not resolve on box {box}")
 
 
-def _winding_with_perturbation(c, b, r, box, max_attempts=5):
+def _winding_with_perturbation(c, b, r, box):
     """Winding number with automatic box perturbation near singular contours."""
     re0, re1, im0, im1 = box
     w = max(re1 - re0, im1 - im0)
-    for attempt in range(max_attempts + 1):
+    for attempt in range(PERTURB_ATTEMPTS + 1):
         d = 1.3e-3 * w * attempt * (1.0 + 0.37 * attempt)
         cur = (re0 - d, re1 + d * 1.11, im0 - d * 0.93, im1 + d * 1.07)
         try:
-            return winding_number(c, b, r, cur), cur
+            return winding_number(c, b, r, cur)
         except _NearSingular:
             continue
-    raise ContourError(f"contour near root after {max_attempts} perturbations "
-                       f"of box {box}")
-
-
-def roots_in_box(c: float, b: float, r: float, box,
-                 mode: int = 0) -> list[CharRoot]:
-    """All roots inside the rectangle box = (re_min, re_max, im_min, im_max).
-
-    The count from the argument-principle winding number drives a recursive
-    bisection; isolated roots are Newton-polished.  Conjugate values are
-    canonicalized to Im >= 0; the total real count (a pair found at +/-Im
-    counts twice) equals the winding number of the initial contour.
-    """
-    if not r > 0:
-        raise ConfigError("delay r must be positive")
-    count, box = _winding_with_perturbation(c, b, r, box)
-    found: list[complex] = []
-
-    def recurse(bx, n_roots):
-        if n_roots == 0:
-            return
-        re0, re1, im0, im1 = bx
-        diag = math.hypot(re1 - re0, im1 - im0)
-        if n_roots == 1 or diag < MIN_BOX:
-            z0 = complex((re0 + re1) / 2.0, (im0 + im1) / 2.0)
-            z = _newton_polish(z0, c, b, r)
-            inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9
-                      and im0 - 1e-9 <= z.imag <= im1 + 1e-9)
-            if residual_ok(z, c, b, r) and (inside or diag < MIN_BOX):
-                found.extend([z] * n_roots)
-                return
-            if diag < MIN_BOX:
-                raise ContourError(f"failed to isolate root in box {bx}")
-        # split the longer side, nudging the cut off any root
-        axis = 0 if (re1 - re0) >= (im1 - im0) else 2
-        lo, hi = bx[axis], bx[axis + 1]
-        for frac in (0.5, 0.46, 0.54, 0.42, 0.58):
-            cut = lo + frac * (hi - lo)
-            lower, upper = list(bx), list(bx)
-            lower[axis + 1] = upper[axis] = cut
-            try:
-                n_lo, b_lo = _winding_with_perturbation(
-                    c, b, r, tuple(lower), max_attempts=2)
-            except ContourError:
-                continue
-            recurse(b_lo, n_lo)
-            recurse(tuple(upper), n_roots - n_lo)
-            return
-        raise ContourError(f"could not split box {bx} cleanly")
-
-    recurse(box, count)
-    return _canonicalize(found, mode)
+    raise ContourError(f"contour near root after {PERTURB_ATTEMPTS} "
+                       f"perturbations of box {box}")
 
 
 def _canonicalize(roots: list[complex], mode: int) -> list[CharRoot]:
@@ -327,7 +238,7 @@ def _canonicalize(roots: list[complex], mode: int) -> list[CharRoot]:
     result = []
     for z, cnt in sorted(out, key=lambda e: (-e[0].real, e[0].imag)):
         if abs(z.imag) > DEDUP_TOL and cnt % 2 == 0:
-            # both conjugates were inside the box
+            # both conjugates were found
             result.append(CharRoot(z, mode, cnt // 2))
         else:
             result.append(CharRoot(z, mode, cnt))
@@ -393,7 +304,7 @@ def mode_roots(a: float, b: float, r: float, n: int,
         im_max = max(abs(cr.value.imag) for cr in out)
         box = (floor, re_up + 0.5, -(im_max + 2.0 + math.pi / r),
                im_max + 2.0 + math.pi / r)
-        w, _ = _winding_with_perturbation(c, b, r, box)
+        w = _winding_with_perturbation(c, b, r, box)
         if w != total:
             raise ContourError(
                 f"mode {n}: winding count {w} != enumerated {total}")
@@ -455,6 +366,8 @@ def ordered_spectrum(a: float, b: float, r: float, max_mode: int,
     roots below the floor, certified by the rightmost-real-part bound
     -c + W0(|b| r e^{c r}) / r (decreasing in the mode offset c).
     """
+    if not r > 0:
+        raise ConfigError("delay r must be positive")
     if max_mode < 1:
         raise ConfigError("max_mode must be >= 1")
     bound_next = rightmost_real_part_bound(a + (max_mode + 1) ** 2, b, r)

@@ -232,15 +232,16 @@ class Trajectory:
 # Core integrator
 # ---------------------------------------------------------------------------
 
-def _check_steps(r: float, num_nodes: int, dt: float) -> tuple[int, int]:
-    """dt must divide the history spacing h = r/(num_nodes-1) exactly."""
+def _check_steps(r: float, num_nodes: int, dt: float) -> int:
+    """Steps per history node: dt must divide the history spacing
+    h = r/(num_nodes-1) exactly."""
     h = r / (num_nodes - 1)
     k = h / dt
     ki = round(k)
     if ki < 1 or abs(k - ki) > 1e-9 * ki:
         raise ConfigError(
             f"dt={dt} must divide the history spacing {h} exactly")
-    return ki, num_nodes - 1
+    return ki
 
 
 @dataclass(frozen=True)
@@ -437,8 +438,11 @@ def _integrate(split: _Split, phis: list, grid: GridSpec, T: float,
     trajectory is bitwise equal to its own run as a batch of one.  phis:
     list of HistorySegment or callable theta -> value vector on [-r, 0].
     """
+    if not (0.0 < dt < math.inf and math.isfinite(T)):
+        raise ConfigError(f"dt={dt} must be positive and finite, "
+                          f"T={T} finite")
     r, n, d, B = grid.delay_r, grid.num_nodes, grid.value_dim, len(phis)
-    steps_per_node, _ = _check_steps(r, n, dt)
+    steps_per_node = _check_steps(r, n, dt)
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T) or n_steps < 1:
         raise ConfigError(f"T={T} must be a positive multiple of dt={dt}")

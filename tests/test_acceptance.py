@@ -15,9 +15,7 @@ import pytest
 from fdedim import bounds as bd
 from fdedim import boxdim as bx
 from fdedim import covering as cv
-from fdedim.charroots import (mode_roots, ordered_spectrum,
-                              real_rightmost_root, roots_in_box,
-                              winding_number)
+from fdedim.charroots import mode_roots, ordered_spectrum, winding_number
 from fdedim.core import (GridSpec, HistorySegment, random_segment,
                          random_smooth_segment, sup_norm)
 from fdedim.sim import (NonlinearitySpec, RDEParams, RFDEParams,
@@ -91,7 +89,10 @@ def test_criterion_02_root_oracles():
         r = float(rng.uniform(0.1, 2.0))
         if b != 0 and -b * r * math.exp(c * r) < -1.0 / math.e + 1e-3:
             continue
-        root = real_rightmost_root(c, b, r)
+        # W0 >= -1 puts the principal real root above -c - 1/r
+        roots = mode_roots(c - 1.0, b, r, 1, -c - 1.0 / r - 1.0)
+        root = max((cr.value.real for cr in roots if not cr.is_pair),
+                   default=None)
         if root is None:
             continue
         if abs(root - _newton_oracle(c, b, r, root + 1e-4)) > 1e-10:
@@ -107,11 +108,13 @@ def test_criterion_02_root_oracles():
         box = (-4.0 + float(rng.uniform(-0.3, 0.3)),
                1.5 + float(rng.uniform(0.0, 0.4)), -half, half)
         try:
-            roots = roots_in_box(c, b, r, box)
+            roots = mode_roots(c - 1.0, b, r, 1, box[0])
             refined = winding_number(c, b, r, box, samples_per_edge=1024)
         except Exception:
             continue
-        if sum(cr.real_dimension for cr in roots) != refined:
+        if sum(cr.real_dimension for cr in roots
+               if cr.value.real <= box[1] and abs(cr.value.imag) <= half
+               ) != refined:
             box_mismatches += 1
         boxes += 1
     elapsed = time.time() - t_start

@@ -10,35 +10,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdedim.charroots import (CharRoot, SpectrumTable, char_value,
-                              lambert_w, lambert_w0, mode_roots,
-                              ordered_spectrum,
-                              real_rightmost_root, rightmost_real_part_bound,
-                              roots_in_box, spectrum_to_csv, winding_number)
-from fdedim.errors import ConfigError, DomainError, TruncationError
+                              lambert_w, mode_roots, ordered_spectrum,
+                              rightmost_real_part_bound, spectrum_to_csv,
+                              winding_number)
+from fdedim.errors import ConfigError, TruncationError
 
 OMEGA = 0.5671432904097838  # the omega constant, solves w e^w = 1
 
 
 class TestLambertW0:
+    """The principal real branch, as the real part of lambert_w(x)."""
+
     def test_known_values(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(1.0) == pytest.approx(OMEGA, rel=1e-14)
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=2e-7)
-
-    def test_below_branch_point(self):
-        with pytest.raises(DomainError):
-            lambert_w0(-0.5)
-
-    def test_branch_point_float_clamped(self):
-        # the float -1/e lies just below the true branch point, where W0 is
-        # not real
-        assert lambert_w0(-1.0 / math.e) == -1.0
+        assert lambert_w(0.0).real == 0.0
+        assert lambert_w(1.0).real == pytest.approx(OMEGA, rel=1e-14)
+        assert lambert_w(math.e).real == pytest.approx(1.0, rel=1e-14)
+        assert lambert_w(-1.0 / math.e).real == pytest.approx(-1.0, abs=2e-7)
 
     @given(st.floats(min_value=-0.36, max_value=1e6))
     @settings(max_examples=200, deadline=None)
     def test_defining_identity(self, x):
-        w = lambert_w0(x)
+        w = lambert_w(x).real
         assert w * math.exp(w) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
@@ -99,17 +91,24 @@ def _newton_real_root_oracle(c, b, r, x0):
     return x
 
 
+def _top_real_root(c, b, r):
+    """Largest real root of D from `mode_roots` (mode 1, so a = c - 1), or
+    None.  Any floor below -c - 1/r is safe: W0 >= -1 puts the principal
+    real root above it.  A margin of 1e-3 rather than criterion 2's 1 keeps
+    the enumeration short: at margin 1 some draws below have ~500 roots."""
+    roots = mode_roots(c - 1.0, b, r, 1, -c - 1.0 / r - 1e-3)
+    return max((cr.value.real for cr in roots if not cr.is_pair),
+               default=None)
+
+
 class TestRealRightmostRoot:
     def test_no_delay_term(self):
-        assert real_rightmost_root(2.0, 0.0, 1.0) == -2.0
+        assert rightmost_real_part_bound(2.0, 0.0, 1.0) == -2.0
+        assert _top_real_root(2.0, 0.0, 1.0) == -2.0
 
     def test_omega_constant(self):
-        assert real_rightmost_root(0.0, -1.0, 1.0) == pytest.approx(
+        assert _top_real_root(0.0, -1.0, 1.0) == pytest.approx(
             OMEGA, rel=1e-12)
-
-    def test_below_branch_point_returns_none(self):
-        # -b r e^{cr} = -e^2 < -1/e
-        assert real_rightmost_root(2.0, 1.0, 1.0) is None
 
     def test_newton_oracle_agreement(self):
         rng = np.random.default_rng(10)
@@ -120,7 +119,7 @@ class TestRealRightmostRoot:
             r = rng.uniform(0.1, 2.0)
             if b != 0 and -b * r * math.exp(c * r) < -1.0 / math.e + 1e-3:
                 continue
-            root = real_rightmost_root(c, b, r)
+            root = _top_real_root(c, b, r)
             assert root is not None
             oracle = _newton_real_root_oracle(c, b, r, root + 1e-4)
             assert root == pytest.approx(oracle, abs=1e-10)
@@ -129,29 +128,47 @@ class TestRealRightmostRoot:
     @pytest.mark.parametrize("c, b, r", [(0.0, -1.0, 1.0), (2.0, -0.3, 0.7),
                                          (-1.5, -2.5, 1.9), (720.0, -1.0, 1.0)])
     def test_equals_rightmost_bound_for_negative_b(self, c, b, r):
-        # both go through one W0 path, so they agree bitwise
-        assert real_rightmost_root(c, b, r) == rightmost_real_part_bound(c, b, r)
+        # for b < 0 the bound is attained: it solves D(rho) = 0, also past
+        # the log-argument switch at 700 (c = 720), where e^{c r} overflows
+        bound = rightmost_real_part_bound(c, b, r)
+        assert abs(char_value(bound, c, b, r)) <= 1e-12 * (1.0 + abs(c))
+        if c < 700.0:
+            assert _top_real_root(c, b, r) == pytest.approx(bound, rel=1e-13)
 
     def test_dominates_roots_in_box(self):
         c, b, r = 0.0, -1.0, 1.0
-        top = real_rightmost_root(c, b, r)
-        for root in roots_in_box(c, b, r, (-6.0, 1.0, -12.0, 12.0)):
+        top = _top_real_root(c, b, r)
+        for root in mode_roots(c - 1.0, b, r, 1, -6.0):
             assert root.value.real <= top + 1e-9
 
 
+def _roots_in_box(c, b, r, box):
+    """The roots of `mode_roots` (mode 1, a = c - 1) inside the box, whose
+    left edge is the enumeration's floor."""
+    re0, re1, im0, im1 = box
+    return [cr for cr in mode_roots(c - 1.0, b, r, 1, re0)
+            if cr.value.real <= re1 and im0 <= cr.value.imag <= im1]
+
+
 class TestRootsInBox:
+    """The enumerated roots inside a box against its winding count."""
+
     def test_linear_case(self):
-        roots = roots_in_box(2.0, 0.0, 1.0, (-3.0, -1.0, -1.0, 1.0))
+        box = (-3.0, -1.0, -1.0, 1.0)
+        roots = _roots_in_box(2.0, 0.0, 1.0, box)
         assert len(roots) == 1
         assert roots[0].value == pytest.approx(-2.0)
+        assert winding_number(2.0, 0.0, 1.0, box) == 1
 
     def test_omega_box(self):
-        roots = roots_in_box(0.0, -1.0, 1.0, (0.0, 1.0, -1.0, 1.0))
+        box = (0.0, 1.0, -1.0, 1.0)
+        roots = _roots_in_box(0.0, -1.0, 1.0, box)
         assert len(roots) == 1
         assert roots[0].value.real == pytest.approx(OMEGA, abs=1e-10)
+        assert winding_number(0.0, -1.0, 1.0, box) == 1
 
     def test_purely_imaginary_root(self):
-        roots = roots_in_box(0.0, math.pi / 2.0, 1.0, (-0.1, 0.1, 1.0, 2.0))
+        roots = _roots_in_box(0.0, math.pi / 2.0, 1.0, (-0.1, 0.1, 1.0, 2.0))
         assert len(roots) == 1
         lam = roots[0].value
         assert lam.imag == pytest.approx(math.pi / 2.0, abs=1e-10)
@@ -163,14 +180,14 @@ class TestRootsInBox:
         box = (-4.5, -1.7247232693199388,
                -31.864225332644537, 31.864225332644537)
         assert winding_number(5.0, 0.3, 1.0, box) == 10
-        roots = roots_in_box(5.0, 0.3, 1.0, box)
+        roots = mode_roots(4.0, 0.3, 1.0, 1, box[0])
         assert sum(cr.real_dimension for cr in roots) == 10
         for cr in roots:
             assert box[0] <= cr.value.real <= box[1]
             assert abs(cr.value.imag) <= box[3]
 
     def test_residual_invariant(self):
-        for root in roots_in_box(1.0, 0.7, 1.3, (-5.0, 2.0, -15.0, 15.0)):
+        for root in mode_roots(0.0, 0.7, 1.3, 1, -5.0):
             lam = root.value
             assert abs(char_value(lam, 1.0, 0.7, 1.3)) < 1e-10 * (1 + abs(lam))
 
@@ -186,7 +203,7 @@ class TestRootsInBox:
             box = (-4.0 + rng.uniform(-0.3, 0.3), 1.5 + rng.uniform(0, 0.4),
                    -half, half)
             try:
-                roots = roots_in_box(c, b, r, box)
+                roots = _roots_in_box(c, b, r, box)
             except Exception:
                 continue
             total = sum(cr.real_dimension for cr in roots)
@@ -214,7 +231,8 @@ class TestModeRoots:
         # a=2, b=1, r=0.1, n=1: W0 argument ~ -0.135 > -1/e
         roots = mode_roots(2.0, 1.0, 0.1, 1, -10.0)
         real_roots = [cr for cr in roots if not cr.is_pair]
-        expected = -3.0 + 10.0 * lambert_w0(-0.1 * math.exp(0.3))
+        expected = -3.0 + 10.0 * scipy.special.lambertw(
+            -0.1 * math.exp(0.3), 0).real
         assert max(cr.value.real for cr in real_roots) == pytest.approx(
             expected, abs=1e-10)
 
@@ -389,11 +407,12 @@ def test_rightmost_bound_continuous_across_overflow_switch():
 
 
 def test_rightmost_bound_dominates_all_roots():
+    # no root in a box to the right of the bound, by the argument principle
     for c, b, r in [(2.0, 0.5, 1.0), (0.0, -1.0, 1.0), (5.0, 2.0, 0.5)]:
         bound = rightmost_real_part_bound(c, b, r)
-        for root in roots_in_box(c, b, r, (bound - 6.0, bound + 1.0,
-                                           -20.0, 20.0)):
-            assert root.value.real <= bound + 1e-9
+        assert winding_number(c, b, r, (bound + 1e-6, bound + 6.0,
+                                        -20.0, 20.0),
+                              samples_per_edge=1024) == 0
 
 
 def test_char_root_real_dimension():

@@ -72,6 +72,16 @@ class TestRoots:
                        "--max-mode", "3", "--floor", "-12"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_delay_exit_2(self, tmp_path, r, capsys):
+        # r is checked before the rightmost-real-part bound takes log(|b| r)
+        code, out = run(["roots", "--a", "1", "--b", "0.3", "--r", r,
+                         "--max-mode", "3", "--floor", "-15"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (out / "spectrum.csv").exists()
+
 
 class TestBounds:
     FEASIBLE = ["bounds", "--M1", "0.05", "--M2", "0.05", "--M3", "0.025",
@@ -100,6 +110,14 @@ class TestBounds:
                        "--lambda0", "0", "--lambda1", "0", "--Lambda", "1",
                        "--t0", "1", "--alpha", "1.5"], tmp_path)
         assert code == 3
+
+    def test_infinite_t0_exit_2(self, tmp_path, capsys):
+        argv = list(self.FEASIBLE)
+        argv[argv.index("--t0") + 1] = "inf"
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "bound_report.json").exists()
 
     def test_config_file_fills_missing(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -236,6 +254,20 @@ class TestOptimize:
         assert "config error" in capsys.readouterr().err
         assert not (out / "optimize.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha-max", "--t0-max"])
+    def test_infinite_range_end_exit_2(self, tmp_path, flag, capsys):
+        # with --alpha-max 1.9 and --t0-max 2 these constants are feasible;
+        # an infinite end used to read as "eta >= 1 everywhere" (exit 3)
+        argv = ["optimize", "--M1", "1", "--M2", "1", "--M3", "0",
+                "--lambda0", "-1", "--lambda1", "-2", "--Lambda", "1",
+                "--alpha-min", "0.1", "--alpha-max", "1.9",
+                "--t0-min", "0.5", "--t0-max", "2"]
+        argv[argv.index(flag) + 1] = "inf"
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "optimize.json").exists()
+
 
 class TestSimulate:
     ARGS = ["simulate", "--a", "1", "--b", "0.3", "--r", "1",
@@ -260,6 +292,18 @@ class TestSimulate:
                        "--num-modes", "2", "--T", "2", "--dt", "0.013"],
                       tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--T", "nan"), ("--T", "inf")])
+    def test_invalid_step_or_horizon_exit_2(self, tmp_path, flag, value,
+                                            capsys):
+        # checked before the integrator divides by dt or rounds T / dt
+        argv = list(self.ARGS)
+        argv[argv.index(flag) + 1] = value
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--kappa", "0.5"],

@@ -560,7 +560,7 @@ def test_simpson_weights_match_loop():
 def _ref_integrate(rhs, phi, grid, T, dt):
     """The per-step RK4 loop with scalar Hermite lookups."""
     r, d = grid.delay_r, grid.value_dim
-    steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
+    steps_per_node = _check_steps(r, grid.num_nodes, dt)
     n_steps = round(T / dt)
     if callable(phi):
         phi_fn = lambda th: np.broadcast_to(
@@ -1235,7 +1235,7 @@ def _ref_block_integrate(split, phis, grid, T, dt):
     """`sim._integrate` as it was before its lookups became plans, with the
     lookups above; the state arrays of its trajectories."""
     r, d, B = grid.delay_r, grid.value_dim, len(phis)
-    steps_per_node, _ = _check_steps(r, grid.num_nodes, dt)
+    steps_per_node = _check_steps(r, grid.num_nodes, dt)
     n_steps = round(T / dt)
     init, history = _ref_history(phis, grid)
     ys = np.zeros((n_steps + 1, B, d))
