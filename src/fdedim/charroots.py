@@ -21,7 +21,6 @@ from .errors import ConfigError, ContourError, TruncationError
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-8
-PERTURB_ATTEMPTS = 5  # enlarged boxes tried when a contour passes near a root
 
 
 # ---------------------------------------------------------------------------
@@ -162,63 +161,61 @@ def rightmost_real_part_bound(c: float, b: float, r: float) -> float:
 # Argument-principle contour machinery
 # ---------------------------------------------------------------------------
 
-class _NearSingular(Exception):
-    pass
+# halving rounds before a segment counts as unresolved: 52 rounds shrink a
+# segment 2^52-fold, to the float spacing of its own length
+WINDING_ROUNDS = 52
+# the computed D(z) is within D_ROUNDING (|z| + |c| + |b e^{-r z}| (1 + r |z|))
+# of D(z): a few ulps for each sum, product and exp, with the r |z| ulp
+# phase error that rounding -r z passes on to exp
+D_ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _phase_steps(c, b, r, box, samples_per_edge):
-    """Principal phase steps of D between consecutive samples of the
-    counter-clockwise box contour."""
-    re0, re1, im0, im1 = box
-    corners = np.array([complex(re0, im0), complex(re1, im0),
-                        complex(re1, im1), complex(re0, im1)])
-    t = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
-    lam = (corners[:, None]
-           + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
-    lam = np.append(lam, lam[0])
-    f = char_value(lam, c, b, r)
-    if float((np.abs(f) / (1.0 + np.abs(lam))).min()) < 1e-9:
-        raise _NearSingular
-    return np.angle(f[1:] / f[:-1])
+def winding_number(c: float, b: float, r: float, box) -> int:
+    """Number of roots inside the rectangle, by the argument principle: the
+    sum of the principal phase steps of D over the segments of the
+    counter-clockwise contour, over 2 pi.
 
-
-def winding_number(c: float, b: float, r: float, box,
-                   samples_per_edge: int | None = None) -> int:
-    """Number of roots inside the rectangle, by the argument principle.
-
-    The winding is the sum of the principal phase steps of D around the
-    sampled contour over 2 pi.  The sampling doubles until every step is
-    below pi/2; a coarser step may have wrapped past pi.
+    A step is summed only once it is proved.  On a segment z0 -> z1,
+    |D'| <= L = 1 + |b| r e^{-r min(Re z0, Re z1)}; when L |z1 - z0| plus
+    the rounding bound of the computed D(z0) is below |D(z0)| / 2, D stays
+    in a disk around D(z0) that excludes 0, so the step is the true phase
+    change (below pi/3; the rounding of the vertex phases cancels around
+    the contour).  A failing segment is halved, and only its midpoint is
+    evaluated.  ContourError is raised where the rounding bound alone
+    reaches |D(z0)| / 2, as next to a root on or within rounding of the
+    contour, and for a segment left after WINDING_ROUNDS halvings.
     """
     re0, re1, im0, im1 = box
     if not (re1 > re0 and im1 > im0):
         raise ConfigError(f"degenerate box {box}")
-    if samples_per_edge is None:
-        extent = max(re1 - re0, im1 - im0)
-        samples_per_edge = max(128, int(12.0 * extent * max(r, 1.0)) + 16)
-    n = samples_per_edge
-    for _ in range(8):
-        steps = _phase_steps(c, b, r, box, n)
-        if np.abs(steps).max() < math.pi / 2.0:
-            return round(float(steps.sum()) / (2.0 * math.pi))
-        n *= 2
-    raise ContourError(
-        f"winding phase steps did not resolve on box {box}")
-
-
-def _winding_with_perturbation(c, b, r, box):
-    """Winding number with automatic box perturbation near singular contours."""
-    re0, re1, im0, im1 = box
-    w = max(re1 - re0, im1 - im0)
-    for attempt in range(PERTURB_ATTEMPTS + 1):
-        d = 1.3e-3 * w * attempt * (1.0 + 0.37 * attempt)
-        cur = (re0 - d, re1 + d * 1.11, im0 - d * 0.93, im1 + d * 1.07)
-        try:
-            return winding_number(c, b, r, cur)
-        except _NearSingular:
-            continue
-    raise ContourError(f"contour near root after {PERTURB_ATTEMPTS} "
-                       f"perturbations of box {box}")
+    n = max(128, int(12.0 * max(re1 - re0, im1 - im0) * max(r, 1.0)) + 16)
+    corners = np.array([complex(re0, im0), complex(re1, im0),
+                        complex(re1, im1), complex(re0, im1)])
+    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    lam = (corners[:, None]
+           + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    lam = np.append(lam, lam[0])
+    f = char_value(lam, c, b, r)
+    z0, z1, f0, f1 = lam[:-1], lam[1:], f[:-1], f[1:]
+    total = 0.0
+    for _ in range(WINDING_ROUNDS):
+        delayed = abs(b) * np.exp(-r * np.minimum(z0.real, z1.real))
+        size = np.abs(z0)
+        rounding = D_ROUNDING * (size + abs(c) + delayed * (1.0 + r * size))
+        half = 0.5 * np.abs(f0)
+        if not (rounding < half).all():
+            break
+        ok = (1.0 + delayed * r) * np.abs(z1 - z0) + rounding < half
+        total += float(np.angle(f1 / f0).sum(where=ok))
+        if ok.all():
+            return round(total / (2.0 * math.pi))
+        z0, z1, f0, f1 = z0[~ok], z1[~ok], f0[~ok], f1[~ok]
+        zm = 0.5 * (z0 + z1)
+        fm = char_value(zm, c, b, r)
+        z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
+        f0, f1 = np.concatenate([f0, fm]), np.concatenate([fm, f1])
+    raise ContourError(f"winding count unresolved: a root on or near the "
+                       f"contour of box {tuple(float(x) for x in box)}")
 
 
 def _canonicalize(roots: list[complex], mode: int) -> list[CharRoot]:
@@ -304,7 +301,7 @@ def mode_roots(a: float, b: float, r: float, n: int,
         im_max = max(abs(cr.value.imag) for cr in out)
         box = (floor, re_up + 0.5, -(im_max + 2.0 + math.pi / r),
                im_max + 2.0 + math.pi / r)
-        w = _winding_with_perturbation(c, b, r, box)
+        w = winding_number(c, b, r, box)
         if w != total:
             raise ContourError(
                 f"mode {n}: winding count {w} != enumerated {total}")

@@ -9,11 +9,12 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdedim import charroots
 from fdedim.charroots import (CharRoot, SpectrumTable, char_value,
                               lambert_w, mode_roots, ordered_spectrum,
                               rightmost_real_part_bound, spectrum_to_csv,
                               winding_number)
-from fdedim.errors import ConfigError, TruncationError
+from fdedim.errors import ConfigError, ContourError, TruncationError
 
 OMEGA = 0.5671432904097838  # the omega constant, solves w e^w = 1
 
@@ -94,9 +95,8 @@ def _newton_real_root_oracle(c, b, r, x0):
 def _top_real_root(c, b, r):
     """Largest real root of D from `mode_roots` (mode 1, so a = c - 1), or
     None.  Any floor below -c - 1/r is safe: W0 >= -1 puts the principal
-    real root above it.  A margin of 1e-3 rather than criterion 2's 1 keeps
-    the enumeration short: at margin 1 some draws below have ~500 roots."""
-    roots = mode_roots(c - 1.0, b, r, 1, -c - 1.0 / r - 1e-3)
+    real root above it.  The margin of 1 is criterion 2's."""
+    roots = mode_roots(c - 1.0, b, r, 1, -c - 1.0 / r - 1.0)
     return max((cr.value.real for cr in roots if not cr.is_pair),
                default=None)
 
@@ -202,13 +202,66 @@ class TestRootsInBox:
             half = 9.0 + rng.uniform(0, 0.5)
             box = (-4.0 + rng.uniform(-0.3, 0.3), 1.5 + rng.uniform(0, 0.4),
                    -half, half)
-            try:
-                roots = _roots_in_box(c, b, r, box)
-            except Exception:
-                continue
+            roots = _roots_in_box(c, b, r, box)
             total = sum(cr.real_dimension for cr in roots)
-            refined = winding_number(c, b, r, box, samples_per_edge=1024)
-            assert total == refined
+            assert total == winding_number(c, b, r, box)
+
+
+class TestGuardedWinding:
+    """The winding count sums only phase steps its derivative guard proves."""
+
+    @pytest.mark.parametrize("c, b, r, box", [
+        (2.0, 0.0, 1.0, (-2.0, 0.0, -1.0, 1.0)),
+        (0.0, math.pi / 2.0, 1.0, (0.0, 0.5, 1.0, 2.0)),
+        # next to the root -5.37 + 64.33i the computed D is noise of the
+        # size of the rounding bound, which a guard without that bound
+        # would take for a proved step
+        (1.0, 0.3, 1.0, (-5.67, -4.67, 63.83, 64.33482187326037)),
+    ])
+    def test_contour_through_root_raises(self, c, b, r, box):
+        # the roots -2 and i pi/2 lie on the left edges, the third root on
+        # the top edge
+        with pytest.raises(ContourError, match="box"):
+            winding_number(c, b, r, box)
+
+    @pytest.mark.parametrize("offset, count", [(-1e-6, 1), (1e-6, 0)])
+    def test_root_near_left_edge(self, offset, count, monkeypatch):
+        # the real root OMEGA of lam - e^{-lam}; no contour sample lies
+        # level with it, where a coarse count could pass by symmetry
+        evaluated = []
+
+        def counted(lam, *args):
+            evaluated.append(np.size(lam))
+            return char_value(lam, *args)
+
+        monkeypatch.setattr(charroots, "char_value", counted)
+        box = (OMEGA + offset, 1.0, -0.7, 1.0)
+        assert winding_number(0.0, -1.0, 1.0, box) == count
+        # the first pass samples 128 points an edge; the halvings near the
+        # root add a few midpoints a round
+        assert evaluated[0] == 4 * 128 + 1
+        assert sum(evaluated[1:]) < 4 * 128
+
+    @pytest.mark.parametrize("offset, count", [(1e-6, 1), (-1e-6, 0)])
+    def test_root_near_top_edge(self, offset, count):
+        # the root i pi/2 of lam + (pi/2) e^{-lam}
+        box = (-0.4, 0.5, 1.0, math.pi / 2.0 + offset)
+        assert winding_number(0.0, math.pi / 2.0, 1.0, box) == count
+
+    @pytest.mark.parametrize("c, b, r", [
+        # a root 2.9e-5 left of the floor, at Im 232.8
+        (1.9168033618077143, -0.2788744496369526, 1.963493669429332),
+        # 475 roots above the floor
+        (2.7800085481448766, -1.1692727596834125, 1.6740452820216085),
+    ])
+    def test_deep_floor_counts_agree(self, c, b, r):
+        floor = -c - 1.0 / r - 1.0
+        roots = mode_roots(c - 1.0, b, r, 1, floor)
+        im_max = max(abs(cr.value.imag) for cr in roots)
+        box = (floor, rightmost_real_part_bound(c, b, r) + 1.0,
+               -im_max - 1.0, im_max + 1.0)
+        assert (sum(cr.real_dimension for cr in roots)
+                == winding_number(c, b, r, box))
 
 
 class TestModeRoots:
@@ -411,8 +464,7 @@ def test_rightmost_bound_dominates_all_roots():
     for c, b, r in [(2.0, 0.5, 1.0), (0.0, -1.0, 1.0), (5.0, 2.0, 0.5)]:
         bound = rightmost_real_part_bound(c, b, r)
         assert winding_number(c, b, r, (bound + 1e-6, bound + 6.0,
-                                        -20.0, 20.0),
-                              samples_per_edge=1024) == 0
+                                        -20.0, 20.0)) == 0
 
 
 def test_char_root_real_dimension():
